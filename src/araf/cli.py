@@ -115,11 +115,12 @@ def _parse_declares(pairs: "list[str] | None") -> "dict[str, ColumnKind] | None"
 
 def _load(args) -> Dataset:
     declared = _parse_declares(getattr(args, "declare", None))
-    ds = load_csv(args.input, args.label, declared_kinds=declared)
     if getattr(args, "assume_categorical", False):
-        forced = {col.name: ColumnKind.CATEGORICAL for col in ds.schema.features}
-        ds = load_csv(args.input, args.label, declared_kinds=forced)
-    return ds
+        with open(args.input, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), [])
+        declared = dict(declared or {})
+        declared.update((name, ColumnKind.CATEGORICAL) for name in header if name != args.label)
+    return load_csv(args.input, args.label, declared_kinds=declared)
 
 
 # -- discretize -------------------------------------------------------------------
@@ -245,6 +246,20 @@ def cmd_mine(args) -> int:
 # -- transform ----------------------------------------------------------------------
 
 
+_BLOCK_ROWS = 512
+"""Rows of the feature matrix formatted at a time; a block's cells are held until written."""
+
+
+def _format_g12(block: np.ndarray) -> list[list[str]]:
+    """'%.12g' of each cell as row lists, formatting each distinct value once.
+
+    Category ids and 0/1 indicators take only a few distinct values.
+    """
+    distinct, inverse = np.unique(block, return_inverse=True)
+    text = np.array(["%.12g" % v for v in distinct], dtype=object)
+    return text[inverse.reshape(block.shape)].tolist()
+
+
 def cmd_transform(args) -> int:
     ds = _load(args)
     if args.k is not None:
@@ -258,12 +273,16 @@ def cmd_transform(args) -> int:
     )
     spec = generate_features(parsed, mode)
     matrix, names = transform(ds, spec)
-    label_names = [ds.schema.classes[i] for i in ds.labels]
+    labels = np.array(ds.schema.classes, dtype=object)[ds.labels]
     with open(args.out, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(names + [ds.schema.label_name])
-        for row, lab in zip(matrix, label_names):
-            writer.writerow([("%.12g" % v) for v in row] + [lab])
+        for start in range(0, ds.n, _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS
+            rows = _format_g12(matrix[start:stop])
+            for row, lab in zip(rows, labels[start:stop].tolist()):
+                row.append(lab)
+            writer.writerows(rows)
     write_manifest(
         args.out,
         "transform",

@@ -150,29 +150,20 @@ class Dataset:
         return True
 
 
-class _CategoryEncoder:
-    """Assigns dense ids in first-appearance order."""
-
-    def __init__(self) -> None:
-        self.ids: dict[str, int] = {}
-
-    def encode(self, value: str) -> int:
-        got = self.ids.get(value)
-        if got is None:
-            got = len(self.ids)
-            self.ids[value] = got
-        return got
-
-    def categories(self) -> tuple[str, ...]:
-        return tuple(self.ids)
-
-
-def _parses_as_real(cell: str) -> bool:
+def _parse_reals(cells) -> "np.ndarray | None":
+    """The cells as float64 if every one parses as a finite number, else None."""
     try:
-        v = float(cell)
+        reals = np.array(list(map(float, cells)), dtype=np.float64)
     except ValueError:
-        return False
-    return np.isfinite(v)
+        return None
+    return reals if np.isfinite(reals).all() else None
+
+
+def _encode(cells) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Category ids in first-appearance order, and the categories in that order."""
+    ids: dict[str, int] = {}
+    codes = [ids.setdefault(c, len(ids)) for c in cells]
+    return np.array(codes, dtype=np.int64), tuple(ids)
 
 
 def _normalize_kind(value: "ColumnKind | str") -> ColumnKind:
@@ -219,9 +210,8 @@ def load_csv(
             raise RaggedRowError(
                 "row %d has %d cells, header has %d" % (i + 2, len(row), width)
             )
-        for cell in row:
-            if cell == "":
-                raise MissingValueError("row %d has an empty cell" % (i + 2))
+        if "" in row:
+            raise MissingValueError("row %d has an empty cell" % (i + 2))
 
     declared = {}
     if declared_kinds:
@@ -230,50 +220,48 @@ def load_csv(
                 raise UsageError("declared kind for unknown column %r" % name)
             declared[name] = _normalize_kind(kind)
 
-    label_pos = header.index(label_column)
-    feature_names = [name for name in header if name != label_column]
-
     columns: list[np.ndarray] = []
     specs: list[Column] = []
-    for name in feature_names:
-        pos = header.index(name)
+    # one column's cells at a time: a transposed copy of every row would
+    # hold a second reference per cell
+    for pos, name in enumerate(header):
+        if name == label_column:
+            continue
         cells = [row[pos] for row in rows]
         kind = declared.get(name)
-        if kind is None:
-            kind = (
-                ColumnKind.CONTINUOUS
-                if all(_parses_as_real(c) for c in cells)
-                else ColumnKind.CATEGORICAL
+        reals = None if kind is ColumnKind.CATEGORICAL else _parse_reals(cells)
+        if kind is ColumnKind.CONTINUOUS and reals is None:
+            bad = next(c for c in cells if _parse_reals((c,)) is None)
+            raise MixedColumnError(
+                "column %r declared continuous but cell %r is not a number" % (name, bad)
             )
-        if kind is ColumnKind.CONTINUOUS:
-            bad = next((c for c in cells if not _parses_as_real(c)), None)
-            if bad is not None:
-                raise MixedColumnError(
-                    "column %r declared continuous but cell %r is not a number" % (name, bad)
-                )
-            columns.append(np.array([float(c) for c in cells], dtype=np.float64))
+        if reals is not None:
+            columns.append(reals)
             specs.append(Column(name, ColumnKind.CONTINUOUS))
         else:
-            enc = _CategoryEncoder()
-            columns.append(np.array([enc.encode(c) for c in cells], dtype=np.int64))
-            specs.append(Column(name, ColumnKind.CATEGORICAL, enc.categories()))
+            codes, categories = _encode(cells)
+            columns.append(codes)
+            specs.append(Column(name, ColumnKind.CATEGORICAL, categories))
 
-    label_enc = _CategoryEncoder()
-    labels = np.array([label_enc.encode(row[label_pos]) for row in rows], dtype=np.int64)
-
-    schema = Schema(tuple(specs), label_column, label_enc.categories())
+    label_pos = header.index(label_column)
+    labels, classes = _encode([row[label_pos] for row in rows])
+    schema = Schema(tuple(specs), label_column, classes)
     return Dataset(schema, tuple(columns), labels)
 
 
 def write_csv(ds: Dataset, path: str) -> None:
     """Write the dataset back to CSV; loading the result preserves values."""
+    cols = []
+    for spec, col in zip(ds.schema.features, ds.columns):
+        if spec.kind is ColumnKind.CATEGORICAL:
+            cols.append(np.array(spec.categories, dtype=object)[col].tolist())
+        else:
+            cols.append(map(repr, col.astype(np.float64).tolist()))
+    cols.append(np.array(ds.schema.classes, dtype=object)[ds.labels].tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([c.name for c in ds.schema.features] + [ds.schema.label_name])
-        for i in range(ds.n):
-            row = [ds.decode_cell(i, j) for j in range(ds.p)]
-            row.append(ds.schema.classes[ds.labels[i]])
-            writer.writerow(row)
+        writer.writerows(zip(*cols))
 
 
 def one_hot(ds: Dataset) -> tuple[np.ndarray, list[str]]:

@@ -63,9 +63,13 @@ def entropy(class_counts) -> float:
         raise AllZeroError("entropy of an empty distribution is undefined")
     if (counts < 0).any():
         raise DataError("negative counts")
-    total = counts.sum()
-    probs = counts[counts > 0] / total
-    return float(-(probs * np.log2(probs)).sum())
+    return _entropy_bits(counts)
+
+
+def _entropy_bits(counts: np.ndarray) -> float:
+    """entropy() of a float64 count vector already known to be valid."""
+    probs = counts[counts > 0] / np.add.reduce(counts)
+    return float(-np.add.reduce(probs * np.log2(probs)))
 
 
 def info_gain(labels, partition, num_classes: "int | None" = None) -> float:
@@ -94,18 +98,13 @@ def info_gain(labels, partition, num_classes: "int | None" = None) -> float:
 def _candidate_cuts(sorted_vals: np.ndarray, l: int) -> set[float]:
     """Midpoint candidates at the l interior quantiles of one interval."""
     m = sorted_vals.size
-    cuts: set[float] = set()
     if m < 2:
-        return cuts
-    for i in range(1, l + 1):
-        pos = math.ceil(i * m / (l + 1)) - 1
-        pos = min(max(pos, 0), m - 1)
-        v = sorted_vals[pos]
-        right = np.searchsorted(sorted_vals, v, side="right")
-        if right >= m:
-            continue  # quantile hit the interval maximum, nothing to its right
-        cuts.add(float((v + sorted_vals[right]) / 2.0))
-    return cuts
+        return set()
+    pos = np.ceil(np.arange(1, l + 1) * m / (l + 1)).astype(np.int64) - 1
+    v = sorted_vals[np.clip(pos, 0, m - 1)]
+    right = np.searchsorted(sorted_vals, v, side="right")
+    keep = right < m  # a quantile at the interval maximum has nothing to its right
+    return set(((v[keep] + sorted_vals[right[keep]]) / 2.0).tolist())
 
 
 def fit_discretizer(values, labels, k: int, l: int = 10, column: str = "") -> DiscretizationMap:
@@ -132,25 +131,50 @@ def fit_discretizer(values, labels, k: int, l: int = 10, column: str = "") -> Di
     if not np.isfinite(values).all():
         raise DataError("values must be finite")
 
-    num_classes = int(labels.max()) + 1 if labels.size else 1
+    if labels.min() < 0:
+        raise DataError("labels must be nonnegative class ids")
+
+    # Rows sorted by value, so every interval (lo, hi] is a slice [a, b) of
+    # them and its class counts are prefix[b] - prefix[a]. Each part's
+    # entropy is computed once, keyed by its slice, by entropy()'s own code,
+    # and parts are summed in ascending order: every gain takes the float
+    # operations info_gain takes on the full partition, so cuts and ties
+    # come out bit-identical to it.
+    n = values.size
+    num_classes = int(labels.max()) + 1
     order = np.argsort(values, kind="stable")
     sorted_vals = values[order]
+    prefix = np.zeros((n + 1, num_classes))
+    prefix[np.arange(1, n + 1), labels[order]] = 1
+    np.cumsum(prefix, axis=0, out=prefix)
+    part_entropy: dict[tuple[int, int], float] = {}
 
+    def weighted_entropy(edges: list[int]) -> float:
+        weighted = 0.0
+        for a, b in zip(edges[:-1], edges[1:]):
+            if b > a:  # info_gain visits only the nonempty parts
+                h = part_entropy.get((a, b))
+                if h is None:
+                    h = part_entropy[(a, b)] = _entropy_bits(prefix[b] - prefix[a])
+                weighted += ((b - a) / n) * h
+        return weighted
+
+    total = entropy(prefix[n])
     thresholds: list[float] = []
     for _ in range(k - 1):
+        inner = np.searchsorted(sorted_vals, thresholds, side="right").tolist()
+        edges = [0] + inner + [n]
         candidates: set[float] = set()
-        bounds = [-math.inf] + thresholds + [math.inf]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            inside = sorted_vals[(sorted_vals > lo) & (sorted_vals <= hi)]
-            candidates |= _candidate_cuts(inside, l)
+        for a, b in zip(edges[:-1], edges[1:]):
+            candidates |= _candidate_cuts(sorted_vals[a:b], l)
         if not candidates:
             break
+        cuts = sorted(candidates)
+        cut_edges = np.searchsorted(sorted_vals, cuts, side="right").tolist()
         best_gain = -math.inf
         best_cut = math.inf
-        for cut in sorted(candidates):
-            trial = np.array(sorted(thresholds + [cut]))
-            partition = np.searchsorted(trial, values, side="left")
-            gain = info_gain(labels, partition, num_classes)
+        for cut, e in zip(cuts, cut_edges):
+            gain = total - weighted_entropy(sorted(edges + [e]))
             if gain > best_gain:  # ties keep the earlier (smaller) cut
                 best_gain = gain
                 best_cut = cut

@@ -55,6 +55,10 @@ class SchemaMismatchError(DataError):
     """A feature spec or rule file references columns or categories the schema lacks."""
 
 
+class MalformedRulesError(DataError):
+    """A rules file line is not valid JSON or lacks a field of a rule."""
+
+
 # -- discretization ----------------------------------------------------------
 
 class AllZeroError(DataError):

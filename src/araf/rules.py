@@ -20,7 +20,13 @@ from heapq import nsmallest
 
 
 from .data import Schema
-from .errors import UsageError, ZeroAntecedentError, ZeroClassError
+from .errors import (
+    MalformedRulesError,
+    SchemaMismatchError,
+    UsageError,
+    ZeroAntecedentError,
+    ZeroClassError,
+)
 from .mining import (
     Antecedent,
     ClassItemset,
@@ -234,34 +240,51 @@ class ParsedRule:
     class_id: int
 
 
-def parse_rules_jsonl(text: str, schema: Schema) -> list[ParsedRule]:
-    from .errors import SchemaMismatchError
+def _rule_fields(line: str, lineno: int) -> tuple[list, object]:
+    """The (feature, category) pairs and the class of one rules line."""
+    try:
+        raw = json.loads(line)
+        pairs = [(entry["feature"], entry["category"]) for entry in raw["antecedent"]]
+        return pairs, raw["class"]
+    except json.JSONDecodeError as exc:
+        raise MalformedRulesError("rules line %d is not valid JSON: %s" % (lineno, exc)) from None
+    except KeyError as exc:
+        raise MalformedRulesError("rules line %d has no field %s" % (lineno, exc)) from None
+    except TypeError:
+        raise MalformedRulesError("rules line %d is not a rule object" % lineno) from None
 
+
+def parse_rules_jsonl(text: str, schema: Schema) -> list[ParsedRule]:
+    """Resolve every rule of a JSON lines text against the schema.
+
+    A line that is not a rule object raises MalformedRulesError naming its
+    line number; a feature, category or class the schema lacks raises
+    SchemaMismatchError.
+    """
     out = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
-        raw = json.loads(line)
+        pairs, cls = _rule_fields(line, lineno)
         items = []
-        for entry in raw["antecedent"]:
+        for feature, category in pairs:
             try:
-                j = schema.feature_index(entry["feature"])
+                j = schema.feature_index(feature)
             except KeyError:
-                raise SchemaMismatchError("unknown feature %r" % entry["feature"]) from None
+                raise SchemaMismatchError("unknown feature %r" % feature) from None
             cats = schema.features[j].categories
-            if entry["category"] not in cats:
+            if category not in cats:
                 raise SchemaMismatchError(
-                    "unknown category %r for feature %r"
-                    % (entry["category"], entry["feature"])
+                    "unknown category %r for feature %r" % (category, feature)
                 )
-            items.append((j, cats.index(entry["category"])))
-        if raw["class"] not in schema.classes:
-            raise SchemaMismatchError("unknown class %r" % raw["class"])
+            items.append((j, cats.index(category)))
+        if cls not in schema.classes:
+            raise SchemaMismatchError("unknown class %r" % cls)
         out.append(
             ParsedRule(
                 antecedent=canonical_antecedent(items),
-                class_id=schema.classes.index(raw["class"]),
+                class_id=schema.classes.index(cls),
             )
         )
     return out

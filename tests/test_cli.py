@@ -86,6 +86,31 @@ class TestDiscretize:
             copy = list(csv.reader(f))
         assert copy == original
 
+    def test_assume_categorical_loads_once(self, mixed_csv, tmp_path, monkeypatch):
+        import araf.cli
+
+        calls = []
+        real_load = araf.cli.load_csv
+
+        def counting_load(*args, **kwargs):
+            calls.append(args)
+            return real_load(*args, **kwargs)
+
+        monkeypatch.setattr(araf.cli, "load_csv", counting_load)
+        outs = {}
+        for name, flags in (
+            ("assumed", ["--assume-categorical"]),
+            ("declared", ["--declare", "a=categorical", "--declare", "b=categorical",
+                          "--declare", "c=categorical"]),
+        ):
+            outs[name] = tmp_path / (name + ".jsonl")
+            calls.clear()
+            rc = main(["mine", "--input", mixed_csv, "--label", "y", *flags,
+                       "--out-rules", str(outs[name])])
+            assert rc == 0
+            assert len(calls) == 1
+        assert outs["assumed"].read_bytes() == outs["declared"].read_bytes()
+
     def test_k_too_small(self, mixed_csv, tmp_path):
         rc = main(
             [
@@ -245,6 +270,35 @@ class TestTransform:
             ]
         )
         assert rc == 3
+
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda line: line[: len(line) // 2], "line 2 is not valid JSON"),
+            (lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "antecedent"}),
+             "line 2 has no field 'antecedent'"),
+            (lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "class"}),
+             "line 2 has no field 'class'"),
+            (lambda line: "[1, 2]", "line 2 is not a rule object"),
+        ],
+        ids=["truncated", "no-antecedent", "no-class", "not-an-object"],
+    )
+    def test_malformed_rules_line_is_a_data_error(self, categorical_csv, tmp_path, capsys, corrupt, message):
+        rules = tmp_path / "rules.jsonl"
+        assert main(["mine", "--input", categorical_csv, "--label", "y", "--out-rules", str(rules)]) == 0
+        lines = rules.read_text().splitlines()
+        assert len(lines) >= 2
+        lines[1] = corrupt(lines[1])
+        rules.write_text("\n".join(lines))
+        rc = main(
+            [
+                "transform", "--input", categorical_csv, "--label", "y",
+                "--rules", str(rules), "--mode", "label", "--out", str(tmp_path / "f.csv"),
+            ]
+        )
+        assert rc == 3
+        assert message in capsys.readouterr().err
 
 
 class TestBench:

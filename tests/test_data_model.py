@@ -1,7 +1,11 @@
 """Dataset construction, CSV round trips, and encoding behavior."""
 
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from araf.data import (
     Column,
@@ -92,6 +96,39 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             load_csv(write(tmp_path, "a,a,y\n1,2,x\n"), "y")
 
+    @pytest.mark.parametrize(
+        "cell, value",
+        [
+            (" 1.5", 1.5),  # float() strips surrounding blanks
+            ("1_000", 1000.0),  # and accepts digit separators
+            ("nan", None),  # parses, but a continuous column must be finite
+            ("inf", None),
+            ("1e400", None),  # overflows to inf
+        ],
+    )
+    def test_kind_follows_python_float(self, tmp_path, cell, value):
+        path = write(tmp_path, "a,y\n2.5,x\n%s,z\n" % cell)
+        ds = load_csv(path, "y")
+        if value is None:
+            assert ds.schema.features[0].kind is ColumnKind.CATEGORICAL
+            assert ds.schema.features[0].categories == ("2.5", cell)
+            with pytest.raises(MixedColumnError, match="cell %r" % cell):
+                load_csv(path, "y", {"a": "continuous"})
+        else:
+            assert ds.schema.features[0].kind is ColumnKind.CONTINUOUS
+            assert list(ds.columns[0]) == [2.5, value]
+
+    def test_declared_continuous_names_first_bad_cell(self, tmp_path):
+        path = write(tmp_path, "a,y\n1,x\ninf,x\nfoo,x\n")
+        with pytest.raises(MixedColumnError, match="cell 'inf'"):
+            load_csv(path, "y", {"a": "continuous"})
+
+    def test_first_bad_row_is_reported(self, tmp_path):
+        with pytest.raises(MissingValueError, match="row 3"):
+            load_csv(write(tmp_path, "a,y\n1,x\n1,\n1,x,2\n"), "y")
+        with pytest.raises(RaggedRowError, match="row 3"):
+            load_csv(write(tmp_path, "a,y\n1,x\n1,x,2\n,x\n"), "y")
+
 
 class TestRoundTrip:
     def test_write_then_load_preserves_values(self, tmp_path):
@@ -101,6 +138,51 @@ class TestRoundTrip:
         ds2 = load_csv(out, "y")
         assert ds.values_equal(ds2)
         assert ds2.schema.feature_names() == ds.schema.feature_names()
+
+
+def reference_write_csv(ds, path):
+    """Row-by-row writer through decode_cell, the reference for write_csv's bytes."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([c.name for c in ds.schema.features] + [ds.schema.label_name])
+        for i in range(ds.n):
+            row = [ds.decode_cell(i, j) for j in range(ds.p)]
+            writer.writerow(row + [ds.schema.classes[ds.labels[i]]])
+
+
+CELL_TEXT = st.text(alphabet='ab ,"\n.-1e5_\u00e9', min_size=1, max_size=6)
+CELL_REAL = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+
+
+@st.composite
+def csv_tables(draw):
+    """Header plus rows of text cells, real cells, or a mix, per column."""
+    p = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12))
+    kinds = [draw(st.sampled_from([CELL_TEXT, CELL_REAL, CELL_TEXT | CELL_REAL])) for _ in range(p)]
+    rows = [[draw(kind) for kind in kinds] + [draw(st.sampled_from("xyz"))] for _ in range(n)]
+    return ["c%d" % j for j in range(p)] + ["y"], rows
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(csv_tables())
+    def test_load_write_load_is_byte_stable(self, tmp_path_factory, table):
+        header, rows = table
+        tmp = tmp_path_factory.mktemp("rt")
+        src = tmp / "src.csv"
+        with open(src, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header] + rows)
+        ds = load_csv(str(src), "y")
+        write_csv(ds, str(tmp / "a.csv"))
+        reference_write_csv(ds, str(tmp / "ref.csv"))
+        again = load_csv(str(tmp / "a.csv"), "y")
+        write_csv(again, str(tmp / "b.csv"))
+        first = (tmp / "a.csv").read_bytes()
+        assert first == (tmp / "ref.csv").read_bytes()
+        assert first == (tmp / "b.csv").read_bytes()
+        assert again.values_equal(ds)
+        assert again.schema == ds.schema
 
 
 class TestDatasetInvariants:

@@ -1,9 +1,12 @@
 """Entropy math, cut search, and interval application."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from araf.data import Column, ColumnKind, Dataset, Schema, load_csv
 from araf.discretize import (
@@ -129,6 +132,91 @@ class TestFitDiscretizer:
         labels = np.array([0, 0, 0])
         dmap = fit_discretizer(vals, labels, k=2, l=10)
         assert dmap.thresholds == (1.5,)
+
+
+def reference_fit(values, labels, k, l):
+    """The full-partition greedy search, one info_gain over all rows per candidate.
+
+    fit_discretizer computes the same gains from prefix class counts; this
+    row-level version is the reference it must match exactly.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    num_classes = int(labels.max()) + 1
+    sorted_vals = np.sort(values, kind="stable")
+    thresholds = []
+    for _ in range(k - 1):
+        candidates = set()
+        bounds = [-math.inf] + thresholds + [math.inf]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            inside = sorted_vals[(sorted_vals > lo) & (sorted_vals <= hi)]
+            m = inside.size
+            for i in range(1, l + 1) if m >= 2 else ():
+                pos = min(max(math.ceil(i * m / (l + 1)) - 1, 0), m - 1)
+                v = inside[pos]
+                right = np.searchsorted(inside, v, side="right")
+                if right < m:
+                    candidates.add(float((v + inside[right]) / 2.0))
+        if not candidates:
+            break
+        best_gain, best_cut = -math.inf, math.inf
+        for cut in sorted(candidates):
+            trial = np.array(sorted(thresholds + [cut]))
+            gain = info_gain(labels, np.searchsorted(trial, values, side="left"), num_classes)
+            if gain > best_gain:
+                best_gain, best_cut = gain, cut
+        thresholds = sorted(thresholds + [best_cut])
+    return DiscretizationMap("", k, tuple(thresholds), len(thresholds) < k - 1)
+
+
+@st.composite
+def fit_cases(draw):
+    """Columns with many ties (few distinct levels) and 1-12 classes."""
+    k = draw(st.integers(2, 8))
+    l = draw(st.integers(1, 12))
+    num_classes = draw(st.integers(1, 12))
+    n = draw(st.integers(k, 80))
+    levels = draw(st.integers(1, 25))
+    scale = draw(st.sampled_from([1.0, 0.1, 1e-3, 7.25]))
+    values = [draw(st.integers(-levels, levels)) * scale for _ in range(n)]
+    labels = draw(st.lists(st.integers(0, num_classes - 1), min_size=n, max_size=n))
+    return np.array(values), np.array(labels), k, l
+
+
+class TestFitMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(fit_cases())
+    def test_same_map_as_row_level_search(self, case):
+        values, labels, k, l = case
+        assert fit_discretizer(values, labels, k, l) == reference_fit(values, labels, k, l)
+
+    @pytest.mark.parametrize(
+        "tenths, labels, k, l",
+        [
+            pytest.param(
+                [15, 29, 10, 34, 33, 16, 7, 24, 9, 4, 33, 37, 35, 32, 4, 20, 10, 21, 5, 7,
+                 20, 28, 15, 19, 24, 2, 27, 32, 3, 29, 19, 21, 37, 4, 29, 8, 34, 21, 5, 20,
+                 30, 6, 4, 37, 2, 25, 9, 2, 20, 29, 37, 17, 1, 13, 26, 4, 0, 20, 31, 25],
+                [10, 2, 0, 5, 1, 0, 2, 2, 3, 1, 2, 6, 3, 4, 5, 12, 6, 7, 0, 5,
+                 11, 9, 10, 7, 11, 5, 9, 12, 6, 3, 5, 7, 12, 7, 7, 2, 0, 3, 11, 0,
+                 0, 5, 11, 8, 5, 9, 7, 5, 2, 10, 11, 8, 6, 3, 7, 3, 12, 2, 1, 5],
+                8, 4,
+                id="13-classes",
+            ),
+            pytest.param(
+                [1, 29, 5, 13, 5, 26, 3, 17, 26, 35, 26, 24],
+                [7, 3, 6, 4, 11, 2, 3, 3, 7, 6, 0, 5],
+                4, 3,
+                id="three-parts",
+            ),
+        ],
+    )
+    def test_cuts_whose_gains_differ_in_the_last_bits(self, tenths, labels, k, l):
+        # found by random search: the best cut changes if an entropy sums
+        # its terms in another order (NumPy sums 8+ terms in blocks of 8)
+        # or if the parts' weighted entropies are added in another order
+        values, labels = np.array(tenths) * 0.1, np.array(labels)
+        assert fit_discretizer(values, labels, k, l) == reference_fit(values, labels, k, l)
 
 
 class TestApplyDiscretizer:
