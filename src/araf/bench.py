@@ -211,7 +211,7 @@ def brute_force_topk(ds: Dataset, config: MiningConfig) -> OracleResult:
     single, pair, class_totals, sizes = _oracle_counts(ds)
     rank_of = _oracle_ranks(sizes, ds.num_classes)
     n = ds.n
-    eps = config.epsilon
+    eps = 1e-12
 
     universe = [
         ClassItemset(ant, c, cnt, rank_of(ant, c)) for (ant, c), cnt in single.items()

@@ -15,7 +15,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -24,16 +23,13 @@ import numpy as np
 from . import __version__
 from .bench import (
     METHODS,
-    SynthConfig,
     gen_freq_bench,
-    generate,
-    mine_method,
     rule_keys,
     run_freq_trial,
     run_synth_trial,
     s1_ground_truth,
 )
-from .data import ColumnKind, Dataset, load_csv, write_csv
+from .data import ColumnKind, Dataset, load_csv, open_csv, write_csv
 from .discretize import apply_dataset, fit_dataset, maps_to_json
 from .errors import ArafError, ConflictingFlagsError, DataError, InternalError, UsageError
 from .features import FeatureMode, generate_features, suggest_params, transform
@@ -59,23 +55,6 @@ def _sha256(path: str) -> str:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _resolve_threads(value: "int | None") -> int:
-    if value is not None:
-        if value < 1:
-            raise UsageError("--threads must be >= 1")
-        return value
-    env = os.environ.get("ARAF_THREADS", "").strip()
-    if env:
-        try:
-            parsed = int(env)
-        except ValueError:
-            raise UsageError("ARAF_THREADS must be an integer, got %r" % env)
-        if parsed < 1:
-            raise UsageError("ARAF_THREADS must be >= 1")
-        return parsed
-    return 1
 
 
 def write_manifest(out_path: str, command: str, params: dict, inputs: list[str]) -> str:
@@ -116,23 +95,26 @@ def _parse_declares(pairs: "list[str] | None") -> "dict[str, ColumnKind] | None"
 def _load(args) -> Dataset:
     declared = _parse_declares(getattr(args, "declare", None))
     if getattr(args, "assume_categorical", False):
-        with open(args.input, newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh), [])
+        with open_csv(args.input) as reader:
+            header = next(reader, [])
         declared = dict(declared or {})
         declared.update((name, ColumnKind.CATEGORICAL) for name in header if name != args.label)
     return load_csv(args.input, args.label, declared_kinds=declared)
+
+
+def _binned(ds: Dataset, args) -> tuple[Dataset, list]:
+    """ds with its continuous columns binned by an entropy fit with --k and --l, and the maps."""
+    if args.k < 2:
+        raise UsageError("--k must be >= 2")
+    maps = fit_dataset(ds, k=args.k, l=args.l)
+    return apply_dataset(ds, maps), maps
 
 
 # -- discretize -------------------------------------------------------------------
 
 
 def cmd_discretize(args) -> int:
-    ds = _load(args)
-    if args.k < 2:
-        raise UsageError("--k must be >= 2")
-    maps = fit_dataset(ds, k=args.k, l=args.l)
-    # no continuous columns: pass the data through and record an empty map
-    mapped = apply_dataset(ds, maps) if maps else ds
+    mapped, maps = _binned(_load(args), args)
     write_csv(mapped, args.out_data)
     if args.out_map:
         with open(args.out_map, "w", encoding="utf-8") as f:
@@ -148,7 +130,6 @@ def cmd_discretize(args) -> int:
             "out_map": args.out_map,
             "columns_discretized": [m.column for m in maps],
             "degenerate_columns": [m.column for m in maps if m.degenerate],
-            "threads": args.threads,
         },
         [args.input],
     )
@@ -179,8 +160,7 @@ def cmd_mine(args) -> int:
 
     ds = _load(args)
     if args.k is not None:
-        maps = fit_dataset(ds, k=args.k, l=args.l)
-        ds = apply_dataset(ds, maps)
+        ds, _ = _binned(ds, args)
 
     if threshold_mode:
         result, rules = mine_with_thresholds(ds, args.minsupp, args.minconf)
@@ -231,7 +211,6 @@ def cmd_mine(args) -> int:
             "label": args.label,
             "k": args.k,
             "seed": args.seed,
-            "threads": args.threads,
             "n": ds.n,
             "p": ds.p,
             "rules_written": len(rules),
@@ -263,8 +242,7 @@ def _format_g12(block: np.ndarray) -> list[list[str]]:
 def cmd_transform(args) -> int:
     ds = _load(args)
     if args.k is not None:
-        maps = fit_dataset(ds, k=args.k, l=args.l)
-        ds = apply_dataset(ds, maps)
+        ds, _ = _binned(ds, args)
     with open(args.rules, "r", encoding="utf-8") as f:
         text = f.read()
     parsed = parse_rules_jsonl(text, ds.schema)
@@ -293,7 +271,6 @@ def cmd_transform(args) -> int:
             "mode": args.mode,
             "k": args.k,
             "features": len(names),
-            "threads": args.threads,
         },
         [args.input, args.rules],
     )
@@ -382,7 +359,6 @@ def cmd_bench(args) -> int:
             "d_conf": args.d_conf,
             "recovery": args.recovery,
             "no_eval": args.no_eval,
-            "threads": args.threads,
         },
         [],
     )
@@ -415,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="treat every feature column as categorical regardless of content",
         )
-        p.add_argument("--threads", type=int, default=None, help="worker count (default 1 or ARAF_THREADS)")
 
     d = sub.add_parser("discretize", help="entropy-based binning of continuous columns")
     add_common_io(d)
@@ -468,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--d-freq", type=int, help="itemset capacity (s1/s2 default 45)")
     b.add_argument("--d-conf", type=int, help="rule count (s1/s2 default 5)")
     b.add_argument("--no-eval", action="store_true", help="skip the logistic evaluation")
-    b.add_argument("--threads", type=int, default=None)
     b.add_argument("--out", required=True, help="output CSV of per-trial metrics")
     b.add_argument("--recovery", help="optional CSV of rule recovery counts")
     b.set_defaults(func=cmd_bench)
@@ -479,7 +453,6 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.threads = _resolve_threads(getattr(args, "threads", None))
         return args.func(args)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)

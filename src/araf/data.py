@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import enum
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,6 +176,16 @@ def _normalize_kind(value: "ColumnKind | str") -> ColumnKind:
         raise UsageError("unknown column kind %r" % (value,)) from None
 
 
+@contextmanager
+def open_csv(path: str):
+    """A csv reader over a UTF-8 file; bytes that do not decode raise DataError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield csv.reader(fh)
+    except UnicodeDecodeError as exc:
+        raise DataError("file %r is not valid UTF-8: %s" % (path, exc)) from None
+
+
 def load_csv(
     path: str,
     label_column: str,
@@ -185,10 +196,10 @@ def load_csv(
     label_column names the class column; every other column becomes a
     feature. declared_kinds overrides kind inference per column name.
     Raises UnknownLabelColumnError, RaggedRowError, EmptyDatasetError,
-    MissingValueError, or MixedColumnError on malformed input.
+    MissingValueError, MixedColumnError, or DataError (bytes that are not
+    UTF-8) on malformed input.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with open_csv(path) as reader:
         try:
             header = next(reader)
         except StopIteration:

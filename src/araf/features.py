@@ -10,7 +10,6 @@ existing columns.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .data import ColumnKind, Dataset, one_hot
 from .errors import ContinuousPresentError, SchemaMismatchError, UsageError
-from .mining import Antecedent, canonical_antecedent
+from .mining import Antecedent
 
 
 class FeatureMode(enum.Enum):
@@ -120,46 +119,3 @@ def suggest_params(p: int, num_classes: int) -> tuple[int, int]:
         raise UsageError("need at least one class")
     root = math.isqrt(p)
     return 5 * num_classes * root, 5 * root
-
-
-# -- serialization -------------------------------------------------------------
-
-
-def spec_to_json(spec: FeatureSpec, schema) -> str:
-    return json.dumps(
-        {
-            "mode": spec.mode.value,
-            "features": [
-                [
-                    {
-                        "feature": schema.features[f].name,
-                        "category": schema.features[f].categories[c],
-                    }
-                    for f, c in ant
-                ]
-                for ant in spec.antecedents
-            ],
-        },
-        indent=2,
-    )
-
-
-def spec_from_json(text: str, schema) -> FeatureSpec:
-    raw = json.loads(text)
-    ants = []
-    for entry in raw["features"]:
-        items = []
-        for item in entry:
-            try:
-                j = schema.feature_index(item["feature"])
-            except KeyError:
-                raise SchemaMismatchError("unknown feature %r" % item["feature"]) from None
-            cats = schema.features[j].categories
-            if item["category"] not in cats:
-                raise SchemaMismatchError(
-                    "unknown category %r for feature %r"
-                    % (item["category"], item["feature"])
-                )
-            items.append((j, cats.index(item["category"])))
-        ants.append(canonical_antecedent(items))
-    return FeatureSpec(tuple(ants), FeatureMode(raw["mode"]))

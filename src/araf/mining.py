@@ -18,7 +18,6 @@ within a run.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from heapq import heappush, heapreplace
 
@@ -59,8 +58,8 @@ class MiningConfig:
     per_class splits the frequent pool evenly across classes; reluctant
     additionally drops interactions that do not beat their main effects
     and requires per_class. subsample, when set, draws that many rows with
-    replacement for counting; exact_confidence then recounts the selected
-    itemsets on the full data before scoring.
+    replacement for selection; the selected itemsets are then recounted on
+    the full data before scoring.
     """
 
     d_freq: int
@@ -68,10 +67,8 @@ class MiningConfig:
     per_class: bool = False
     scoring: Scoring = Scoring.CONFIDENCE
     reluctant: bool = False
-    epsilon: float = 1e-12
     subsample: "int | None" = None
     seed: int = 0
-    exact_confidence: bool = True
 
     def __post_init__(self) -> None:
         if self.d_freq < 1:
@@ -282,7 +279,6 @@ class SubsampleMeta:
     n_prime: int
     seed: int
     full_n: int
-    exact_confidence: bool
 
 
 @dataclass
@@ -290,13 +286,11 @@ class MiningResult:
     """Frequent itemsets plus the count tables needed to score rules.
 
     Exactly one of itemsets (global mode) or per_class (per-class mode) is
-    populated. n and class_totals refer to whichever database the recorded
-    counts were taken from: the full data normally, the subsample when
-    approximate counting was requested without the exact recount.
+    populated. Supports, n and class_totals are counts on the full data,
+    also when selection ran on a subsample.
     """
 
     schema: Schema
-    config: MiningConfig
     n: int
     class_totals: np.ndarray
     itemsets: "list[ClassItemset] | None"
@@ -324,19 +318,14 @@ class MiningResult:
         return got
 
 
-def _resort(itemsets: list[ClassItemset]) -> list[ClassItemset]:
-    return sorted(itemsets, key=lambda its: (-its.support, its.rank))
-
-
 def mine_frequent(ds: Dataset, config: MiningConfig) -> MiningResult:
     """Mine the d_freq strongest class itemsets of size one and two.
 
     Global mode keeps a single accumulator where pairs may evict main
     effects; per-class mode gives every class its own accumulator with
     capacity max(1, d_freq // num_classes). With config.subsample set,
-    selection runs on a with-replacement subsample and, unless
-    exact_confidence is disabled, all surviving counts are then recomputed
-    exactly in one pass over the full data.
+    selection runs on a with-replacement subsample and all surviving counts
+    are then recomputed exactly in one pass over the full data.
     """
     from .sampling import SubsampleConfig, subsample  # local import: sampler also imports data
 
@@ -345,59 +334,38 @@ def mine_frequent(ds: Dataset, config: MiningConfig) -> MiningResult:
     meta = None
     if config.subsample is not None:
         count_ds = subsample(ds, SubsampleConfig(config.subsample, config.seed))
-        meta = SubsampleMeta(
-            n_prime=config.subsample,
-            seed=config.seed,
-            full_n=ds.n,
-            exact_confidence=config.exact_confidence,
-        )
+        meta = SubsampleMeta(n_prime=config.subsample, seed=config.seed, full_n=ds.n)
+
+    # global mode is per-class mode with every class in group 0
+    if config.per_class:
+        groups, capacity = range(ds.num_classes), config.per_class_capacity(ds.num_classes)
+    else:
+        groups, capacity = (0,), config.d_freq
+    accs = {g: TopKAccumulator(capacity) for g in groups}
+
+    def push(its: ClassItemset) -> None:
+        accs[its.class_id if config.per_class else 0].push(its)
 
     singletons = count_singletons(count_ds)
-
-    if config.per_class:
-        capacity = config.per_class_capacity(ds.num_classes)
-        accs = {c: TopKAccumulator(capacity) for c in range(ds.num_classes)}
-        for its in iter_singletons(singletons, ds.schema, ranks):
-            accs[its.class_id].push(its)
-        fs1 = [its for c in sorted(accs) for its in accs[c].items()]
-        candidates = generate_pair_candidates(fs1, ranks)
-        pair_counts = count_pairs(count_ds, [c.antecedent for c in candidates])
-        for cand in candidates:
-            support = int(pair_counts[cand.antecedent][cand.class_id])
-            accs[cand.class_id].push(
-                ClassItemset(cand.antecedent, cand.class_id, support, cand.rank)
-            )
-        per_class = {c: accs[c].items() for c in sorted(accs)}
-        selected = [its for items in per_class.values() for its in items]
-        global_items = None
-    else:
-        acc = TopKAccumulator(config.d_freq)
-        for its in iter_singletons(singletons, ds.schema, ranks):
-            acc.push(its)
-        fs1 = acc.items()
-        candidates = generate_pair_candidates(fs1, ranks)
-        pair_counts = count_pairs(count_ds, [c.antecedent for c in candidates])
-        for cand in candidates:
-            support = int(pair_counts[cand.antecedent][cand.class_id])
-            acc.push(ClassItemset(cand.antecedent, cand.class_id, support, cand.rank))
-        global_items = acc.items()
-        selected = list(global_items)
-        per_class = None
+    for its in iter_singletons(singletons, ds.schema, ranks):
+        push(its)
+    candidates = generate_pair_candidates([its for g in groups for its in accs[g].items()], ranks)
+    pair_counts = count_pairs(count_ds, [c.antecedent for c in candidates])
+    for cand in candidates:
+        support = int(pair_counts[cand.antecedent][cand.class_id])
+        push(ClassItemset(cand.antecedent, cand.class_id, support, cand.rank))
+    pools = {g: accs[g].items() for g in groups}
 
     stats = TableStats(
         singleton_entries=int(singletons.counts.shape[0]),
         pair_entries=len(pair_counts),
     )
 
-    n = count_ds.n
-    class_totals = singletons.class_totals
-    if meta is not None and config.exact_confidence:
+    if meta is not None:
         # selection was approximate; recount what survived on the full data
         singletons = count_singletons(ds)
-        kept = sorted({its.antecedent for its in selected if its.size == 2})
+        kept = sorted({its.antecedent for pool in pools.values() for its in pool if its.size == 2})
         pair_counts = count_pairs(ds, kept)
-        n = ds.n
-        class_totals = singletons.class_totals
 
         def exact(its: ClassItemset) -> ClassItemset:
             if its.size == 1:
@@ -406,18 +374,17 @@ def mine_frequent(ds: Dataset, config: MiningConfig) -> MiningResult:
                 support = int(pair_counts[its.antecedent][its.class_id])
             return ClassItemset(its.antecedent, its.class_id, support, its.rank)
 
-        if per_class is not None:
-            per_class = {c: _resort([exact(i) for i in items]) for c, items in per_class.items()}
-        else:
-            global_items = _resort([exact(i) for i in global_items])
+        pools = {
+            g: sorted(map(exact, pool), key=lambda its: (-its.support, its.rank))
+            for g, pool in pools.items()
+        }
 
     return MiningResult(
         schema=ds.schema,
-        config=config,
-        n=n,
-        class_totals=class_totals,
-        itemsets=global_items,
-        per_class=per_class,
+        n=ds.n,
+        class_totals=singletons.class_totals,
+        itemsets=None if config.per_class else pools[0],
+        per_class=pools if config.per_class else None,
         table_stats=stats,
         subsample_meta=meta,
         _singletons=singletons,
@@ -458,7 +425,6 @@ def mine_with_thresholds(ds: Dataset, minsupp: float, minconf: float):
 
     result = MiningResult(
         schema=ds.schema,
-        config=MiningConfig(d_freq=max(1, len(frequent)), d_conf=max(1, len(frequent))),
         n=ds.n,
         class_totals=singletons.class_totals,
         itemsets=frequent,
@@ -468,47 +434,3 @@ def mine_with_thresholds(ds: Dataset, minsupp: float, minconf: float):
         _pair_counts=pair_counts,
     )
     return result, generate_rules_threshold(result, minconf)
-
-
-# -- serialization -------------------------------------------------------------
-
-
-def itemset_to_dict(its: ClassItemset, schema: Schema) -> dict:
-    return {
-        "items": [
-            {"feature": schema.features[f].name, "category": schema.features[f].categories[c]}
-            for f, c in its.antecedent
-        ],
-        "class": schema.classes[its.class_id],
-        "support": its.support,
-        "rank": its.rank,
-    }
-
-
-def itemsets_to_jsonl(itemsets, schema: Schema) -> str:
-    return "\n".join(json.dumps(itemset_to_dict(its, schema)) for its in itemsets)
-
-
-def itemset_from_dict(raw: dict, schema: Schema) -> ClassItemset:
-    from .errors import SchemaMismatchError
-
-    items = []
-    for entry in raw["items"]:
-        try:
-            j = schema.feature_index(entry["feature"])
-        except KeyError:
-            raise SchemaMismatchError("unknown feature %r" % entry["feature"]) from None
-        cats = schema.features[j].categories
-        if entry["category"] not in cats:
-            raise SchemaMismatchError(
-                "unknown category %r for feature %r" % (entry["category"], entry["feature"])
-            )
-        items.append((j, cats.index(entry["category"])))
-    if raw["class"] not in schema.classes:
-        raise SchemaMismatchError("unknown class %r" % raw["class"])
-    return ClassItemset(
-        antecedent=canonical_antecedent(items),
-        class_id=schema.classes.index(raw["class"]),
-        support=int(raw["support"]),
-        rank=int(raw["rank"]),
-    )

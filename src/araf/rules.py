@@ -18,7 +18,6 @@ import json
 from dataclasses import dataclass
 from heapq import nsmallest
 
-
 from .data import Schema
 from .errors import (
     MalformedRulesError,
@@ -116,9 +115,7 @@ def build_rule(its: ClassItemset, result: MiningResult) -> "Rule | None":
         return None
     class_support = int(result.class_totals[its.class_id])
     conf = confidence(its.support, total)
-    rc = relative_confidence(
-        its.support, total, class_support, result.n, result.config.epsilon
-    )
+    rc = relative_confidence(its.support, total, class_support, result.n)
     # a rule for a class absent from the data scores zero rather than erroring
     lf = lift(conf, class_support, result.n) if class_support > 0 else 0.0
     return Rule(
@@ -146,15 +143,12 @@ def _top(rules: list[Rule], d_conf: int, scoring: Scoring) -> list[Rule]:
     return nsmallest(d_conf, rules, key=lambda r: (-score_rule(r, scoring), r.rank))
 
 
-def select_rules(result: MiningResult, config: "MiningConfig | None" = None) -> list[Rule]:
+def select_rules(result: MiningResult, config: MiningConfig) -> list[Rule]:
     """One rule per frequent itemset, then the d_conf best by score."""
-    config = config or result.config
     return _top(_build_all(result), config.d_conf, config.scoring)
 
 
-def select_rules_reluctant(
-    result: MiningResult, config: "MiningConfig | None" = None
-) -> list[Rule]:
+def select_rules_reluctant(result: MiningResult, config: MiningConfig) -> list[Rule]:
     """Interaction-averse selection over per-class mining output.
 
     Classes are walked in id order and each class's itemsets in support
@@ -165,7 +159,6 @@ def select_rules_reluctant(
     interaction's score strictly exceeds the parent's. Equal-scoring
     redundant interactions are thus dropped. Output is the d_conf best.
     """
-    config = config or result.config
     if result.per_class is None:
         raise UsageError("reluctant selection needs per-class mining output")
     pool: dict[tuple[Antecedent, int], Rule] = {}
@@ -222,14 +215,6 @@ def rule_to_dict(rule: Rule, schema: Schema) -> dict:
 
 def rules_to_jsonl(rules, schema: Schema) -> str:
     return "\n".join(json.dumps(rule_to_dict(r, schema)) for r in rules)
-
-
-def rule_name(rule: Rule, schema: Schema) -> str:
-    ant = "&".join(
-        "%s=%s" % (schema.features[f].name, schema.features[f].categories[c])
-        for f, c in rule.antecedent
-    )
-    return "%s->%s" % (ant, schema.classes[rule.class_id])
 
 
 @dataclass(frozen=True)

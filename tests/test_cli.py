@@ -38,6 +38,21 @@ def categorical_csv(tmp_path):
     return str(path)
 
 
+def every_command(tmp_path, mixed_csv, categorical_csv):
+    """A complete argument list for each subcommand, run in this order, and its output."""
+    rules = str(tmp_path / "rules.jsonl")
+    outs = {name: str(tmp_path / name) for name in ("binned.csv", "features.csv", "metrics.csv")}
+    return [
+        (["discretize", "--input", mixed_csv, "--label", "y", "--k", "3",
+          "--out-data", outs["binned.csv"]], outs["binned.csv"]),
+        (["mine", "--input", categorical_csv, "--label", "y", "--out-rules", rules], rules),
+        (["transform", "--input", categorical_csv, "--label", "y", "--rules", rules,
+          "--mode", "label", "--out", outs["features.csv"]], outs["features.csv"]),
+        (["bench", "--variant", "s1", "--trials", "1", "--n", "200", "--no-eval",
+          "--out", outs["metrics.csv"]], outs["metrics.csv"]),
+    ]
+
+
 def read_manifest(out_path):
     with open(out_path + ".manifest.json") as f:
         return json.load(f)
@@ -111,14 +126,6 @@ class TestDiscretize:
             assert len(calls) == 1
         assert outs["assumed"].read_bytes() == outs["declared"].read_bytes()
 
-    def test_k_too_small(self, mixed_csv, tmp_path):
-        rc = main(
-            [
-                "discretize", "--input", mixed_csv, "--label", "y",
-                "--k", "1", "--out-data", str(tmp_path / "x.csv"),
-            ]
-        )
-        assert rc == 2
 
 
 class TestMine:
@@ -365,6 +372,42 @@ class TestErrors:
             ]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["discretize", "mine", "transform"])
+    def test_k_too_small(self, command, mixed_csv, tmp_path, capsys):
+        rules = tmp_path / "rules.jsonl"
+        rules.write_text("")
+        out = {"discretize": "--out-data", "mine": "--out-rules", "transform": "--out"}[command]
+        argv = [command, "--input", mixed_csv, "--label", "y", "--k", "1",
+                out, str(tmp_path / "out")]
+        if command == "transform":
+            argv += ["--rules", str(rules), "--mode", "label"]
+        assert main(argv) == 2
+        assert "--k must be >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [[], ["--assume-categorical"]], ids=["load", "header-read"])
+    def test_non_utf8_csv_is_a_data_error(self, flags, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,y\ncaf\xe9,x\nb,z\n")
+        rc = main(["mine", "--input", str(path), "--label", "y", *flags,
+                   "--out-rules", str(tmp_path / "r.jsonl")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "not valid UTF-8" in err and str(path) in err
+
+    def test_threads_flag_is_rejected(self, mixed_csv, categorical_csv, tmp_path, capsys):
+        for argv, _ in every_command(tmp_path, mixed_csv, categorical_csv):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--threads", "2"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+    def test_no_thread_setting_in_manifests(self, mixed_csv, categorical_csv, tmp_path, monkeypatch):
+        # ARAF_THREADS is not read, so a value that is not a number is harmless
+        monkeypatch.setenv("ARAF_THREADS", "abc")
+        for argv, out in every_command(tmp_path, mixed_csv, categorical_csv):
+            assert main(argv) == 0
+            assert "threads" not in read_manifest(out)["params"]
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

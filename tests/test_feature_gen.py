@@ -10,8 +10,6 @@ from araf.features import (
     FeatureMode,
     FeatureSpec,
     generate_features,
-    spec_from_json,
-    spec_to_json,
     suggest_params,
     transform,
 )
@@ -142,15 +140,3 @@ class TestEndToEndWidth:
         assert ds.p == 99
         assert ds.p <= mat.shape[1] <= ds.p + 5
         assert len(names) == mat.shape[1]
-
-
-class TestSpecSerialization:
-    def test_json_round_trip(self):
-        x = np.array([[1, 1], [0, 1]])
-        ds = binary_dataset(x, np.array([0, 1]))
-        spec = FeatureSpec(
-            (((0, 1),), ((0, 1), (1, 1))), FeatureMode.APPEND_TO_LABEL_ENCODED
-        )
-        text = spec_to_json(spec, ds.schema)
-        back = spec_from_json(text, ds.schema)
-        assert back == spec

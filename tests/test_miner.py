@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from araf.bench import brute_force_topk
 from araf.data import binary_dataset, Column, ColumnKind, Dataset, Schema
@@ -24,6 +26,7 @@ from araf.mining import (
     select_topk,
 )
 from araf.rules import select_rules, select_rules_reluctant
+from araf.sampling import SubsampleConfig, subsample
 
 
 def random_dataset(rng, n=None, p=None, max_cats=4, max_classes=3):
@@ -283,31 +286,93 @@ class TestMineFrequent:
     def test_subsample_counts_come_from_the_draw(self):
         rng = np.random.default_rng(31)
         ds = random_dataset(rng, n=400)
-        config = MiningConfig(10, 4, subsample=80, seed=5, exact_confidence=False)
-        result = mine_frequent(ds, config)
+        result = mine_frequent(ds, MiningConfig(10, 4, subsample=80, seed=5))
         assert result.subsample_meta is not None
         assert result.subsample_meta.n_prime == 80
-        for its in result.all_itemsets():
+        # selection ran on the draw: the pool is the one mined from it directly
+        drawn = mine_frequent(subsample(ds, SubsampleConfig(80, 5)), MiningConfig(10, 4))
+        assert {(i.antecedent, i.class_id) for i in result.all_itemsets()} == {
+            (i.antecedent, i.class_id) for i in drawn.all_itemsets()
+        }
+        for its in drawn.all_itemsets():
             assert 0 <= its.support <= 80
 
     def test_exact_confidence_recounts_on_full_data(self):
         rng = np.random.default_rng(37)
         ds = random_dataset(rng, n=400)
-        approx = mine_frequent(
-            ds, MiningConfig(10, 4, subsample=80, seed=5, exact_confidence=False)
-        )
-        exact = mine_frequent(
-            ds, MiningConfig(10, 4, subsample=80, seed=5, exact_confidence=True)
-        )
-        # same pool membership, but exact supports match a full-data count
-        assert {(i.antecedent, i.class_id) for i in approx.all_itemsets()} == {
-            (i.antecedent, i.class_id) for i in exact.all_itemsets()
-        }
+        exact = mine_frequent(ds, MiningConfig(10, 4, subsample=80, seed=5))
+        assert exact.n == ds.n
+        assert exact.class_totals.tolist() == ds.class_counts().tolist()
         for its in exact.all_itemsets():
             mask = np.ones(ds.n, dtype=bool)
             for f, cat in its.antecedent:
                 mask &= ds.columns[f] == cat
             assert its.support == int((ds.labels[mask] == its.class_id).sum())
+
+
+def categorical_dataset(sizes, rows, labels, num_classes):
+    """A dataset with the given category counts per column, used or not."""
+    specs = tuple(
+        Column("X%d" % (j + 1), ColumnKind.CATEGORICAL, tuple(str(c) for c in range(k)))
+        for j, k in enumerate(sizes)
+    )
+    cols = tuple(np.array([r[j] for r in rows], dtype=np.int64) for j in range(len(sizes)))
+    schema = Schema(specs, "Y", tuple(str(c) for c in range(num_classes)))
+    return Dataset(schema, cols, np.array(labels, dtype=np.int64))
+
+
+@st.composite
+def mining_cases(draw):
+    """A random schema, a table over it (not every category or class need
+    occur), and a mining config with any capacity from 1 to past the size of
+    the itemset universe."""
+    num_classes = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    n = draw(st.integers(1, 30))
+    rows = [[draw(st.integers(0, k - 1)) for k in sizes] for _ in range(n)]
+    labels = [draw(st.integers(0, num_classes - 1)) for _ in range(n)]
+    ds = categorical_dataset(sizes, rows, labels, num_classes)
+    pairs = sum(a * b for a, b in itertools.combinations(sizes, 2))
+    universe = (sum(sizes) + pairs) * num_classes
+    d_freq = draw(st.integers(1, universe + 3))
+    per_class = draw(st.booleans())
+    config = MiningConfig(
+        d_freq,
+        draw(st.integers(1, d_freq)),
+        per_class=per_class,
+        scoring=draw(st.sampled_from(list(Scoring))),
+        reluctant=per_class and draw(st.booleans()),
+    )
+    return ds, config
+
+
+class TestMineFrequentProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(mining_cases())
+    # a single class
+    @example((categorical_dataset([2, 2], [[0, 1], [1, 1], [0, 0]], [0, 0, 0], 1),
+              MiningConfig(4, 2, per_class=True, scoring=Scoring.LIFT)))
+    # p = 1: no pairs to count
+    @example((categorical_dataset([3], [[0], [2], [2], [1]], [0, 1, 1, 0], 2),
+              MiningConfig(5, 3, scoring=Scoring.RELATIVE_CONFIDENCE)))
+    # categories 2 and 3 of X1 and class 2 never occur
+    @example((categorical_dataset([4, 2], [[0, 1], [1, 0], [1, 1]], [0, 1, 1], 3),
+              MiningConfig(9, 4, per_class=True, scoring=Scoring.RELATIVE_CONFIDENCE,
+                           reluctant=True)))
+    # d_freq < num_classes
+    @example((categorical_dataset([2, 2], [[0, 1], [1, 0], [1, 1]], [0, 1, 2], 3),
+              MiningConfig(2, 1, per_class=True)))
+    # d_freq larger than the itemset universe of (2 + 2 + 4) * 2 = 16
+    @example((categorical_dataset([2, 2], [[0, 1], [1, 0], [1, 1]], [0, 1, 1], 2),
+              MiningConfig(20, 20, scoring=Scoring.LIFT)))
+    def test_mining_and_selection_equal_the_oracle(self, case):
+        ds, config = case
+        result = mine_frequent(ds, config)
+        select = select_rules_reluctant if config.reluctant else select_rules
+        want = brute_force_topk(ds, config)
+        assert result.itemsets == want.itemsets
+        assert result.per_class == want.per_class
+        assert select(result, config) == want.rules
 
 
 class TestThresholdMining:

@@ -24,7 +24,6 @@ from araf.rules import (
     lift,
     parse_rules_jsonl,
     relative_confidence,
-    rule_name,
     rules_to_jsonl,
     score_rule,
     select_rules,
@@ -73,7 +72,7 @@ class TestLift:
             lift(0.5, 0, 10)
 
 
-def small_result(per_class_lists, ds, config):
+def small_result(per_class_lists, ds):
     """Assemble a MiningResult directly from hand-picked per-class itemsets."""
     pairs = [
         its.antecedent
@@ -83,7 +82,6 @@ def small_result(per_class_lists, ds, config):
     ]
     return MiningResult(
         schema=ds.schema,
-        config=config,
         n=ds.n,
         class_totals=ds.class_counts(),
         itemsets=None,
@@ -184,7 +182,7 @@ class TestReluctantGate:
             0: [ClassItemset(ant, 0, 2, ranks.rank(ant, 0))],
             1: [],
         }
-        result = small_result(pool, ds, config)
+        result = small_result(pool, ds)
         rules = select_rules_reluctant(result, config)
         assert [(r.antecedent, r.class_id) for r in rules] == [(ant, 0)]
 
@@ -255,16 +253,6 @@ class TestSerialization:
         assert [(r.antecedent, r.class_id) for r in back] == [
             (r.antecedent, r.class_id) for r in rules
         ]
-
-    def test_rule_name_is_readable(self):
-        rng = np.random.default_rng(9)
-        x = rng.integers(0, 2, size=(50, 3))
-        y = rng.integers(0, 2, size=50)
-        ds = binary_dataset(x, y)
-        config = MiningConfig(8, 1)
-        (rule,) = select_rules(mine_frequent(ds, config), config)
-        name = rule_name(rule, ds.schema)
-        assert "->" in name and "=" in name
 
 
 class TestOracleScoreAgreement:
