@@ -21,15 +21,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .bench import (
-    METHODS,
-    gen_freq_bench,
-    rule_keys,
-    run_freq_trial,
-    run_synth_trial,
-    s1_ground_truth,
-)
-from .data import ColumnKind, Dataset, load_csv, open_csv, write_csv
+from .data import ColumnKind, Dataset, load_csv, open_csv, open_text, write_csv
 from .discretize import apply_dataset, fit_dataset, maps_to_json
 from .errors import ArafError, ConflictingFlagsError, DataError, InternalError, UsageError
 from .features import FeatureMode, generate_features, suggest_params, transform
@@ -243,7 +235,7 @@ def cmd_transform(args) -> int:
     ds = _load(args)
     if args.k is not None:
         ds, _ = _binned(ds, args)
-    with open(args.rules, "r", encoding="utf-8") as f:
+    with open_text(args.rules) as f:
         text = f.read()
     parsed = parse_rules_jsonl(text, ds.schema)
     mode = FeatureMode.APPEND_TO_LABEL_ENCODED if args.mode == "label" else (
@@ -281,6 +273,8 @@ def cmd_transform(args) -> int:
 
 
 def _bench_freq(args, writer) -> list[list]:
+    from .bench import gen_freq_bench, run_freq_trial  # imported on use: only bench needs it
+
     grid = [100, 500, 1000, 5000]
     recovery_rows = []
     ds = gen_freq_bench(args.n or 10000, args.seed, args.p or 10)
@@ -299,6 +293,8 @@ def _bench_freq(args, writer) -> list[list]:
 
 
 def _bench_synth(args, writer) -> list[list]:
+    from .bench import METHODS, rule_keys, run_synth_trial, s1_ground_truth
+
     counts: dict = {m: {} for m in METHODS if m != "origin"}
     truths = s1_ground_truth()
     for t in range(args.trials):

@@ -177,13 +177,20 @@ def _normalize_kind(value: "ColumnKind | str") -> ColumnKind:
 
 
 @contextmanager
-def open_csv(path: str):
-    """A csv reader over a UTF-8 file; bytes that do not decode raise DataError."""
+def open_text(path: str):
+    """A UTF-8 text file, newlines kept as written; bytes that do not decode raise DataError."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            yield csv.reader(fh)
+            yield fh
     except UnicodeDecodeError as exc:
         raise DataError("file %r is not valid UTF-8: %s" % (path, exc)) from None
+
+
+@contextmanager
+def open_csv(path: str):
+    """A csv reader over a UTF-8 file; bytes that do not decode raise DataError."""
+    with open_text(path) as fh:
+        yield csv.reader(fh)
 
 
 def load_csv(

@@ -1,33 +1,47 @@
-"""Frequent class-itemset mining with fixed-size accumulators.
+"""Frequent class-itemset mining with fixed-size top-k selection.
 
 The search space is every (feature=category, class) singleton plus every
 pair of singletons sharing a class but not a feature. Instead of a minimum
-support threshold, selection keeps the d_freq strongest itemsets in a
-bounded min-heap, ordered by support with ties broken toward the itemset
-enumerated first. Pair candidates are generated only from frequent
-singletons of the same class, so an itemset never survives that one of its
-subsets would beat.
+support threshold, selection keeps the d_freq strongest itemsets, ordered
+by support with ties broken toward the itemset enumerated first. Pair
+candidates are generated only from frequent singletons of the same class,
+so an itemset never survives that one of its subsets would beat.
 
 Enumeration order: singletons by (feature index, category id, class id);
 pairs by (first constituent's rank, second constituent's rank), after all
 singletons. Ranks encode that order sparsely; their values are stable for a
 given schema, identical for the exhaustive reference miner, and unique
 within a run.
+
+Counting and selection run on arrays. An itemset is a row of parallel
+arrays (support, r1, r2): r1 is the rank of its first (or only) singleton,
+r2 the rank of its second singleton, or -1. Singletons are counted with one
+bincount per block of rows. All candidate pairs are counted together, the
+vertical way of Eclat's tid-lists (Zaki 2000) and MAFIA's bitmaps (Burdick
+et al. 2001): each item holds a bit set of the rows it occurs in, and a
+pair's count is the popcount of the AND of its two items' bit sets. Counts
+are exact integers at any n. Python ClassItemsets are built only for the
+itemsets selected.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from heapq import heappush, heapreplace
 
 import numpy as np
 
-from .data import Dataset, Schema
-from .errors import DataError, UsageError
+from .data import ColumnKind, Dataset, Schema
+from .errors import ContinuousPresentError, DataError, UsageError
 
 Item = tuple[int, int]  # (feature index, category id)
 Antecedent = tuple[Item, ...]  # length 1 or 2, feature indices strictly increasing
+
+BLOCK_ROWS = 1 << 14
+"""Rows per counting block; bounds the temporaries on tall tables."""
+
+CHUNK_WORDS = 1 << 16
+"""64-bit words per chunk of ANDed pair bit sets (a 512 KiB temporary)."""
 
 
 class Scoring(enum.Enum):
@@ -95,65 +109,69 @@ def canonical_antecedent(items) -> Antecedent:
 
 
 class RankSpace:
-    """Maps itemsets of a schema to their enumeration ranks."""
+    """Item indices and ranks of a schema's itemsets.
+
+    Item i is category categories[i] of feature features[i]; a feature's
+    items are offsets[f] .. offsets[f + 1] - 1. Singleton (item i, class c)
+    has rank i * num_classes + c; a pair whose singletons have ranks
+    r1 < r2 has rank pair_base * (1 + r1) + r2, above every singleton.
+    """
 
     def __init__(self, schema: Schema) -> None:
         sizes = [len(col.categories) for col in schema.features]
-        self.offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-        self.num_classes = schema.num_classes
+        self.offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=self.offsets[1:])
         self.total_items = int(self.offsets[-1])
-        # every (item, class) singleton ranks below every pair
+        self.features = np.repeat(np.arange(len(sizes)), sizes)
+        self.categories = np.arange(self.total_items) - self.offsets[self.features]
+        self.max_categories = max(sizes, default=0)
+        self.num_classes = schema.num_classes
         self.pair_base = self.total_items * self.num_classes
 
-    def item_rank(self, item: Item, class_id: int) -> int:
-        feature, category = item
-        return (int(self.offsets[feature]) + category) * self.num_classes + class_id
+    def itemsets(self, support, r1, r2) -> list[ClassItemset]:
+        """The ClassItemsets of parallel (support, r1, r2) rows, in order."""
+        num_classes = self.num_classes
+        first, second = r1 // num_classes, np.maximum(r2, 0) // num_classes
+        firsts = zip(self.features[first].tolist(), self.categories[first].tolist())
+        seconds = zip(self.features[second].tolist(), self.categories[second].tolist())
+        out = []
+        for s, q1, q2, a, b in zip(support.tolist(), r1.tolist(), r2.tolist(), firsts, seconds):
+            if q2 < 0:
+                out.append(ClassItemset((a,), q1 % num_classes, s, q1))
+            else:
+                rank = self.pair_base * (1 + q1) + q2
+                out.append(ClassItemset((a, b), q1 % num_classes, s, rank))
+        return out
 
-    def rank(self, antecedent: Antecedent, class_id: int) -> int:
-        if len(antecedent) == 1:
-            return self.item_rank(antecedent[0], class_id)
-        r1 = self.item_rank(antecedent[0], class_id)
-        r2 = self.item_rank(antecedent[1], class_id)
-        return self.pair_base * (1 + r1) + r2
 
+def _distinct(values: np.ndarray):
+    """Sorted distinct values and the index of each value among them.
 
-class TopKAccumulator:
-    """Bounded min-heap keeping the strongest itemsets seen so far.
-
-    Strength is (support descending, rank ascending); ranks are unique, so
-    the order is total and the content deterministic for any push sequence.
+    np.unique's result, from one stable sort and a neighbour comparison.
     """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise UsageError("capacity must be >= 1")
-        self.capacity = capacity
-        self._heap: list[tuple[int, int, ClassItemset]] = []
-
-    def push(self, itemset: ClassItemset) -> bool:
-        """Offer one itemset; returns True when it was kept."""
-        key = (itemset.support, -itemset.rank)
-        if len(self._heap) < self.capacity:
-            heappush(self._heap, (*key, itemset))
-            return True
-        if key > self._heap[0][:2]:
-            heapreplace(self._heap, (*key, itemset))
-            return True
-        return False
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def items(self) -> list[ClassItemset]:
-        """Content sorted by support descending, rank ascending."""
-        return [entry[2] for entry in sorted(self._heap, key=lambda e: (-e[0], e[2].rank))]
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    new = np.empty(len(values), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    inverse = np.empty(len(values), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
 
 
-def select_topk(itemsets, capacity: int) -> list[ClassItemset]:
-    acc = TopKAccumulator(capacity)
-    for its in itemsets:
-        acc.push(its)
-    return acc.items()
+def top_per_group(support, groups, capacity: int) -> np.ndarray:
+    """Indices of each group's `capacity` strongest rows.
+
+    Rows must come in rank order. Strength is support descending, then rank
+    ascending, which the stable lexsort takes from the row order. Indices
+    come grouped by ascending group id, strongest first within each group.
+    """
+    if capacity < 1:
+        raise UsageError("capacity must be >= 1")
+    order = np.lexsort((-support, groups))
+    sorted_groups = groups[order]
+    place = np.arange(len(order)) - np.searchsorted(sorted_groups, sorted_groups)
+    return order[place < capacity]
 
 
 @dataclass
@@ -161,7 +179,8 @@ class SingletonTable:
     """Joint counts of every (feature=category, class) cell, one scan of the data.
 
     Cells never observed stay at zero but are present, so downstream code can
-    read the count of any singleton without special cases.
+    read the count of any singleton without special cases. counts.ravel()
+    is indexed by singleton rank.
     """
 
     counts: np.ndarray  # (total item slots, num classes)
@@ -176,89 +195,132 @@ class SingletonTable:
         return self.counts[int(self.offsets[item[0]]) + item[1]]
 
 
-def count_singletons(ds: Dataset) -> SingletonTable:
-    matrix = ds.categorical_matrix()
+def count_singletons(ds: Dataset, space: "RankSpace | None" = None) -> SingletonTable:
+    """Every singleton's count, one bincount of (item, class) cells per block of rows."""
+    continuous = [col.name for col in ds.schema.features if col.kind is ColumnKind.CONTINUOUS]
+    if continuous:
+        raise ContinuousPresentError(
+            "column %r is continuous; discretize before mining" % continuous[0]
+        )
+    space = space or RankSpace(ds.schema)
     num_classes = ds.num_classes
-    sizes = [len(col.categories) for col in ds.schema.features]
-    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-    counts = np.zeros((int(offsets[-1]), num_classes), dtype=np.int64)
-    for j in range(ds.p):
-        flat = matrix[:, j] * num_classes + ds.labels
-        col = np.bincount(flat, minlength=sizes[j] * num_classes)
-        counts[offsets[j] : offsets[j] + sizes[j]] = col.reshape(sizes[j], num_classes)
+    counts = np.zeros(space.total_items * num_classes, dtype=np.int64)
+    base = space.offsets[:-1, None] * num_classes
+    for lo in range(0, ds.n if ds.p else 0, BLOCK_ROWS):
+        cells = np.stack([col[lo : lo + BLOCK_ROWS] for col in ds.columns], dtype=np.intp)
+        cells *= num_classes
+        cells += base
+        cells += ds.labels[lo : lo + BLOCK_ROWS]
+        counts += np.bincount(cells.ravel(), minlength=len(counts))
     return SingletonTable(
-        counts=counts,
-        offsets=offsets,
+        counts=counts.reshape(space.total_items, num_classes),
+        offsets=space.offsets,
         class_totals=ds.class_counts(),
         n=ds.n,
     )
 
 
-def iter_singletons(table: SingletonTable, schema: Schema, ranks: RankSpace):
-    """Yield every singleton class itemset, zero-support cells included."""
-    for j, col in enumerate(schema.features):
-        for cat in range(len(col.categories)):
-            row = table.counts[int(table.offsets[j]) + cat]
-            for c in range(schema.num_classes):
-                ant = ((j, cat),)
-                yield ClassItemset(ant, c, int(row[c]), ranks.rank(ant, c))
-
-
-def generate_pair_candidates(
-    frequent_singletons: list[ClassItemset], ranks: RankSpace
-) -> list[ClassItemset]:
+def generate_pair_candidates(frequent, space: RankSpace) -> np.ndarray:
     """All same-class pairs of frequent singletons over distinct features.
 
-    Returned with support 0 (counting happens separately), sorted by rank,
-    without duplicates.
+    frequent holds singleton ranks. Returns one (m, 3) int64 array of
+    (class, first item, second item) rows with first < second, sorted by
+    pair rank, without duplicates; supports are counted separately.
     """
-    by_class: dict[int, list[Item]] = {}
-    for its in frequent_singletons:
-        if its.size != 1:
-            continue
-        by_class.setdefault(its.class_id, []).append(its.antecedent[0])
-    seen: set[tuple[Antecedent, int]] = set()
-    out: list[ClassItemset] = []
-    for class_id, items in by_class.items():
-        items = sorted(set(items))
-        for a in range(len(items)):
-            for b in range(a + 1, len(items)):
-                if items[a][0] == items[b][0]:
-                    continue
-                ant = (items[a], items[b])
-                key = (ant, class_id)
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(ClassItemset(ant, class_id, 0, ranks.rank(ant, class_id)))
-    out.sort(key=lambda its: its.rank)
-    return out
+    ranks, _ = _distinct(np.asarray(frequent, dtype=np.int64).ravel())
+    classes, items = ranks % space.num_classes, ranks // space.num_classes
+    # in (class, item) order, the partners of a singleton follow it in its class's run
+    order = np.argsort(classes, kind="stable")
+    classes, items = classes[order], items[order]
+    partners = np.searchsorted(classes, classes, side="right") - np.arange(len(classes)) - 1
+    first = np.repeat(np.arange(len(classes)), partners)
+    second = np.arange(len(first)) - np.repeat(np.cumsum(partners) - partners, partners) + first + 1
+    out = np.column_stack([classes[first], items[first], items[second]])
+    out = out[space.features[out[:, 1]] != space.features[out[:, 2]]]
+    # pair rank order is (first item, class, second item); rows are in
+    # (class, first, second) order, so a stable sort on the first two suffices
+    return out[np.argsort(out[:, 1] * space.num_classes + out[:, 0], kind="stable")]
 
 
-def count_pairs(ds: Dataset, antecedents) -> dict[Antecedent, np.ndarray]:
-    """Joint per-class counts for each two-item antecedent, one scan.
+def count_pairs(ds: Dataset, pairs, space: "RankSpace | None" = None) -> np.ndarray:
+    """Joint per-class counts of two-item antecedents, one pass over the rows.
 
-    Counts are recorded for every class, not only the class that proposed a
-    candidate, because confidence needs the full antecedent marginal.
+    pairs is an (m, 2) array of item indices (see RankSpace); row k of the
+    (m, num_classes) int64 result counts, per class, the rows holding both
+    items of pair k. Every class is counted, not only the class that
+    proposed a candidate, because confidence needs the full antecedent
+    marginal.
+
+    Each block of rows is laid out in class order, every class's run padded
+    to whole 64-bit words, and each item of pairs gets a bit set over that
+    layout. A pair's class-c count is the popcount of the AND of its two
+    items' words in class c's run, summed into int64.
     """
-    matrix = ds.categorical_matrix()
+    space = space or RankSpace(ds.schema)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     num_classes = ds.num_classes
-    masks: dict[Item, np.ndarray] = {}
-
-    def mask(item: Item) -> np.ndarray:
-        got = masks.get(item)
-        if got is None:
-            got = matrix[:, item[0]] == item[1]
-            masks[item] = got
-        return got
-
-    out: dict[Antecedent, np.ndarray] = {}
-    for ant in antecedents:
-        if ant in out:
-            continue
-        joint = mask(ant[0]) & mask(ant[1])
-        out[ant] = np.bincount(ds.labels[joint], minlength=num_classes).astype(np.int64)
+    out = np.zeros((len(pairs), num_classes), dtype=np.int64)
+    if not len(pairs):
+        return out
+    used, local = _distinct(pairs.ravel())
+    first, second = local.reshape(pairs.shape).T
+    features, feature_of_item = _distinct(space.features[used])
+    categories = space.categories[used, None]
+    sentinel = space.max_categories  # no category has this id
+    code_dtype = np.min_scalar_type(sentinel)
+    label_dtype = np.min_scalar_type(num_classes)  # small, so the stable sort is a radix sort
+    for lo in range(0, ds.n, BLOCK_ROWS):
+        labels = ds.labels[lo : lo + BLOCK_ROWS]
+        rows = len(labels)
+        sizes = np.bincount(labels, minlength=num_classes)
+        words = -(-sizes // 64)
+        # rows in class order, each class's run padded to whole words by
+        # slots that read a sentinel column, which no item matches
+        padding = np.repeat(np.arange(num_classes), 64 * words - sizes)
+        slot_labels = np.concatenate([labels, padding], dtype=label_dtype, casting="unsafe")
+        layout = np.minimum(np.argsort(slot_labels, kind="stable"), rows)
+        codes = np.empty((len(features), rows + 1), dtype=code_dtype)
+        codes[:, rows] = sentinel
+        columns = [ds.columns[f][lo : lo + rows] for f in features.tolist()]
+        np.stack(columns, out=codes[:, :rows], casting="unsafe")
+        hits = codes.take(layout, axis=1)[feature_of_item] == categories
+        bits = np.packbits(hits, axis=1).view(np.uint64)
+        present = words > 0
+        runs = (np.cumsum(words) - words)[present]
+        step = max(1, CHUNK_WORDS // bits.shape[1])
+        for k in range(0, len(pairs), step):
+            both = np.bitwise_count(bits[first[k : k + step]] & bits[second[k : k + step]])
+            out[k : k + step, present] += np.add.reduceat(both, runs, axis=1, dtype=np.int64)
     return out
+
+
+def _count_candidates(ds: Dataset, space: RankSpace, singletons: SingletonTable, frequent):
+    """The frequent singletons and every candidate pair of them, counted on ds.
+
+    frequent holds singleton ranks in ascending order. Returns the
+    (support, r1, r2) arrays of those itemsets in rank order, and the
+    distinct pairs counted, as sorted pair keys (first * total_items +
+    second) with their per-class counts.
+    """
+    classes, first, second = generate_pair_candidates(frequent, space).T
+    keys, inverse = _distinct(first * space.total_items + second)
+    counts = count_pairs(ds, np.column_stack(np.divmod(keys, space.total_items)), space)
+    support = np.concatenate([singletons.counts.ravel()[frequent], counts[inverse, classes]])
+    r1 = np.concatenate([frequent, first * space.num_classes + classes])
+    r2 = np.concatenate([np.full(len(frequent), -1), second * space.num_classes + classes])
+    return (support, r1, r2), keys, counts
+
+
+def _pair_keys(space: RankSpace, r1, r2) -> np.ndarray:
+    """Pair keys of pair rows given by singleton ranks."""
+    return r1 // space.num_classes * space.total_items + r2 // space.num_classes
+
+
+def _pair_counts(space: RankSpace, itemsets, r1, r2, keys, counts) -> dict:
+    """Per-class counts of the pairs among itemsets, keyed by antecedent."""
+    pairs = np.flatnonzero(r2 >= 0)
+    rows = counts[np.searchsorted(keys, _pair_keys(space, r1[pairs], r2[pairs]))]
+    return {itemsets[i].antecedent: row for i, row in zip(pairs.tolist(), rows)}
 
 
 @dataclass
@@ -275,19 +337,13 @@ class TableStats:
 
 
 @dataclass
-class SubsampleMeta:
-    n_prime: int
-    seed: int
-    full_n: int
-
-
-@dataclass
 class MiningResult:
     """Frequent itemsets plus the count tables needed to score rules.
 
     Exactly one of itemsets (global mode) or per_class (per-class mode) is
     populated. Supports, n and class_totals are counts on the full data,
-    also when selection ran on a subsample.
+    also when selection ran on a subsample. The pair counts cover the
+    selected pairs only.
     """
 
     schema: Schema
@@ -296,7 +352,6 @@ class MiningResult:
     itemsets: "list[ClassItemset] | None"
     per_class: "dict[int, list[ClassItemset]] | None"
     table_stats: TableStats
-    subsample_meta: "SubsampleMeta | None" = None
     _singletons: SingletonTable = field(repr=False, default=None)
     _pair_counts: dict = field(repr=False, default_factory=dict)
 
@@ -321,74 +376,61 @@ class MiningResult:
 def mine_frequent(ds: Dataset, config: MiningConfig) -> MiningResult:
     """Mine the d_freq strongest class itemsets of size one and two.
 
-    Global mode keeps a single accumulator where pairs may evict main
-    effects; per-class mode gives every class its own accumulator with
-    capacity max(1, d_freq // num_classes). With config.subsample set,
-    selection runs on a with-replacement subsample and all surviving counts
-    are then recomputed exactly in one pass over the full data.
+    Global mode keeps one pool where pairs may evict main effects; per-class
+    mode gives every class its own pool of max(1, d_freq // num_classes).
+    With config.subsample set, selection runs on a with-replacement
+    subsample and all surviving counts are then recomputed exactly in one
+    pass over the full data.
     """
     from .sampling import SubsampleConfig, subsample  # local import: sampler also imports data
 
-    ranks = RankSpace(ds.schema)
+    space = RankSpace(ds.schema)
+    num_classes = ds.num_classes
     count_ds = ds
-    meta = None
     if config.subsample is not None:
         count_ds = subsample(ds, SubsampleConfig(config.subsample, config.seed))
-        meta = SubsampleMeta(n_prime=config.subsample, seed=config.seed, full_n=ds.n)
-
     # global mode is per-class mode with every class in group 0
-    if config.per_class:
-        groups, capacity = range(ds.num_classes), config.per_class_capacity(ds.num_classes)
-    else:
-        groups, capacity = (0,), config.d_freq
-    accs = {g: TopKAccumulator(capacity) for g in groups}
+    capacity = config.per_class_capacity(num_classes) if config.per_class else config.d_freq
 
-    def push(its: ClassItemset) -> None:
-        accs[its.class_id if config.per_class else 0].push(its)
+    def top(support, r1):
+        groups = r1 % num_classes if config.per_class else np.zeros_like(r1)
+        return top_per_group(support, groups, capacity)
 
-    singletons = count_singletons(count_ds)
-    for its in iter_singletons(singletons, ds.schema, ranks):
-        push(its)
-    candidates = generate_pair_candidates([its for g in groups for its in accs[g].items()], ranks)
-    pair_counts = count_pairs(count_ds, [c.antecedent for c in candidates])
-    for cand in candidates:
-        support = int(pair_counts[cand.antecedent][cand.class_id])
-        push(ClassItemset(cand.antecedent, cand.class_id, support, cand.rank))
-    pools = {g: accs[g].items() for g in groups}
+    singletons = count_singletons(count_ds, space)
+    support = singletons.counts.ravel()
+    # a singleton outside its group's pool stays out once pairs join the race
+    frequent = np.sort(top(support, np.arange(len(support))))
+    (support, r1, r2), keys, counts = _count_candidates(count_ds, space, singletons, frequent)
+    keep = top(support, r1)
+    stats = TableStats(singleton_entries=len(singletons.counts), pair_entries=len(keys))
 
-    stats = TableStats(
-        singleton_entries=int(singletons.counts.shape[0]),
-        pair_entries=len(pair_counts),
-    )
-
-    if meta is not None:
+    if config.subsample is not None:
         # selection was approximate; recount what survived on the full data
-        singletons = count_singletons(ds)
-        kept = sorted({its.antecedent for pool in pools.values() for its in pool if its.size == 2})
-        pair_counts = count_pairs(ds, kept)
+        keep = np.sort(keep)  # back in rank order
+        r1, r2 = r1[keep], r2[keep]
+        singletons = count_singletons(ds, space)
+        is_pair = r2 >= 0
+        keys, rows = _distinct(_pair_keys(space, r1[is_pair], r2[is_pair]))
+        counts = count_pairs(ds, np.column_stack(np.divmod(keys, space.total_items)), space)
+        support = singletons.counts.ravel()[r1]
+        support[is_pair] = counts[rows, r1[is_pair] % num_classes]
+        keep = top(support, r1)
+    support, r1, r2 = support[keep], r1[keep], r2[keep]
 
-        def exact(its: ClassItemset) -> ClassItemset:
-            if its.size == 1:
-                support = singletons.count(its.antecedent[0], its.class_id)
-            else:
-                support = int(pair_counts[its.antecedent][its.class_id])
-            return ClassItemset(its.antecedent, its.class_id, support, its.rank)
-
-        pools = {
-            g: sorted(map(exact, pool), key=lambda its: (-its.support, its.rank))
-            for g, pool in pools.items()
-        }
-
+    itemsets = space.itemsets(support, r1, r2)
+    per_class = None
+    if config.per_class:
+        bounds = np.searchsorted(r1 % num_classes, np.arange(num_classes + 1)).tolist()
+        per_class = {c: itemsets[bounds[c] : bounds[c + 1]] for c in range(num_classes)}
     return MiningResult(
         schema=ds.schema,
         n=ds.n,
         class_totals=singletons.class_totals,
-        itemsets=None if config.per_class else pools[0],
-        per_class=pools if config.per_class else None,
+        itemsets=None if config.per_class else itemsets,
+        per_class=per_class,
         table_stats=stats,
-        subsample_meta=meta,
         _singletons=singletons,
-        _pair_counts=pair_counts,
+        _pair_counts=_pair_counts(space, itemsets, r1, r2, keys, counts),
     )
 
 
@@ -397,7 +439,8 @@ def mine_with_thresholds(ds: Dataset, minsupp: float, minconf: float):
 
     minsupp is a fraction of the database size; minconf a confidence bound.
     Returns (result, rules); rules come sorted by enumeration rank and their
-    number is data dependent rather than fixed.
+    number is data dependent rather than fixed. Support is anti-monotone, so
+    the frequent pairs are exactly the candidates above the floor.
     """
     from .rules import generate_rules_threshold
 
@@ -406,31 +449,23 @@ def mine_with_thresholds(ds: Dataset, minsupp: float, minconf: float):
     if not 0 <= minconf <= 1:
         raise UsageError("minconf must lie in [0, 1]")
 
-    ranks = RankSpace(ds.schema)
-    singletons = count_singletons(ds)
+    space = RankSpace(ds.schema)
+    singletons = count_singletons(ds, space)
     floor = minsupp * ds.n - 1e-9
-    fs1 = [
-        its
-        for its in iter_singletons(singletons, ds.schema, ranks)
-        if its.support >= floor
-    ]
-    candidates = generate_pair_candidates(fs1, ranks)
-    pair_counts = count_pairs(ds, [c.antecedent for c in candidates])
-    fs2 = [
-        ClassItemset(c.antecedent, c.class_id, int(pair_counts[c.antecedent][c.class_id]), c.rank)
-        for c in candidates
-    ]
-    frequent = fs1 + [its for its in fs2 if its.support >= floor]
-    frequent.sort(key=lambda its: its.rank)
+    frequent = np.flatnonzero(singletons.counts.ravel() >= floor)
+    (support, r1, r2), keys, counts = _count_candidates(ds, space, singletons, frequent)
+    kept = support >= floor  # rows are in rank order
+    support, r1, r2 = support[kept], r1[kept], r2[kept]
+    itemsets = space.itemsets(support, r1, r2)
 
     result = MiningResult(
         schema=ds.schema,
         n=ds.n,
         class_totals=singletons.class_totals,
-        itemsets=frequent,
+        itemsets=itemsets,
         per_class=None,
-        table_stats=TableStats(int(singletons.counts.shape[0]), len(pair_counts)),
+        table_stats=TableStats(len(singletons.counts), len(keys)),
         _singletons=singletons,
-        _pair_counts=pair_counts,
+        _pair_counts=_pair_counts(space, itemsets, r1, r2, keys, counts),
     )
     return result, generate_rules_threshold(result, minconf)

@@ -25,7 +25,6 @@ class SubsampleConfig:
 
     n_prime: int
     seed: int = 0
-    with_replacement: bool = True
 
     def __post_init__(self) -> None:
         if self.n_prime < 1:
@@ -33,19 +32,13 @@ class SubsampleConfig:
 
 
 def subsample(ds: Dataset, config: SubsampleConfig) -> Dataset:
-    """Draw config.n_prime rows, i.i.d. uniform with replacement by default.
+    """Draw config.n_prime rows, i.i.d. uniform with replacement.
 
     The draw is a pure function of (seed, n, n_prime); the PCG64 generator
-    makes it reproducible across platforms. Without replacement requires
-    n_prime <= n.
+    makes it reproducible across platforms.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    if config.with_replacement:
-        idx = rng.integers(0, ds.n, size=config.n_prime)
-    else:
-        if config.n_prime > ds.n:
-            raise UsageError("cannot draw %d of %d rows without replacement" % (config.n_prime, ds.n))
-        idx = rng.permutation(ds.n)[: config.n_prime]
+    idx = rng.integers(0, ds.n, size=config.n_prime)
     cols = tuple(col[idx] for col in ds.columns)
     return Dataset(ds.schema, cols, ds.labels[idx])
 

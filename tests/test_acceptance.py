@@ -282,24 +282,41 @@ def test_criterion_7_frequency_recovery():
 # -- criterion 8: near-linear scaling in rows and columns ------------------------
 
 
-def mining_wall_time(n, p):
-    ds = gen_s1(n, seed=42, p=p)
-    d_freq, d_conf = suggest_params(p, 3)
-    config = MiningConfig(
-        d_freq, d_conf, per_class=True, scoring=Scoring.RELATIVE_CONFIDENCE
-    )
-    reps = []
-    for _ in range(3):
-        start = time.perf_counter()
+SCALING_CASES = ((10_000, 50), (20_000, 50), (40_000, 50), (10_000, 25), (10_000, 100))
+SCALING_ROUNDS = 9
+
+
+def mining_wall_times(cases, rounds):
+    """Best wall time of mine_frequent on each (n, p) case.
+
+    The host's speed drifts in phases of seconds, so the cases are timed
+    interleaved, one call per case per round, after one untimed warm-up
+    call each; every case then sees the same phases, and its minimum is
+    the time of the program, not of the phase.
+    """
+    runs = []
+    for n, p in cases:
+        d_freq, d_conf = suggest_params(p, 3)
+        config = MiningConfig(
+            d_freq, d_conf, per_class=True, scoring=Scoring.RELATIVE_CONFIDENCE
+        )
+        runs.append((gen_s1(n, seed=42, p=p), config))
+    for ds, config in runs:
         mine_frequent(ds, config)
-        reps.append(time.perf_counter() - start)
-    return sorted(reps)[1]
+    best = [float("inf")] * len(runs)
+    for _ in range(rounds):
+        for i, (ds, config) in enumerate(runs):
+            start = time.perf_counter()
+            mine_frequent(ds, config)
+            best[i] = min(best[i], time.perf_counter() - start)
+    return dict(zip(cases, best))
 
 
 def test_criterion_8_scaling():
     lo, hi = 1.5, 3.0
-    n_times = {n: mining_wall_time(n, 50) for n in (10_000, 20_000, 40_000)}
-    p_times = {p: mining_wall_time(10_000, p) for p in (25, 50, 100)}
+    times = mining_wall_times(SCALING_CASES, SCALING_ROUNDS)
+    n_times = {n: times[n, 50] for n in (10_000, 20_000, 40_000)}
+    p_times = {p: times[10_000, p] for p in (25, 50, 100)}
     n_factors = [n_times[20_000] / n_times[10_000], n_times[40_000] / n_times[20_000]]
     p_factors = [p_times[50] / p_times[25], p_times[100] / p_times[50]]
     DETAILS[8] = "n doubling x%.2f, x%.2f; p doubling x%.2f, x%.2f" % (

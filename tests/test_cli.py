@@ -307,6 +307,21 @@ class TestTransform:
         assert rc == 3
         assert message in capsys.readouterr().err
 
+    def test_non_utf8_rules_file_is_a_data_error(self, categorical_csv, tmp_path, capsys):
+        rules = tmp_path / "rules.jsonl"
+        assert main(["mine", "--input", categorical_csv, "--label", "y", "--out-rules", str(rules)]) == 0
+        # one category written as the Latin-1 byte of "é"
+        rules.write_bytes(rules.read_bytes().replace(b'"category": "', b'"category": "\xe9', 1))
+        rc = main(
+            [
+                "transform", "--input", categorical_csv, "--label", "y",
+                "--rules", str(rules), "--mode", "label", "--out", str(tmp_path / "f.csv"),
+            ]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "not valid UTF-8" in err and str(rules) in err
+
 
 class TestBench:
     def test_synth_smoke(self, tmp_path):

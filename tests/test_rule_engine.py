@@ -9,7 +9,6 @@ from araf.bench import brute_force_topk
 from araf.data import binary_dataset
 from araf.errors import UsageError, ZeroAntecedentError, ZeroClassError
 from araf.mining import (
-    ClassItemset,
     MiningConfig,
     MiningResult,
     RankSpace,
@@ -74,12 +73,14 @@ class TestLift:
 
 def small_result(per_class_lists, ds):
     """Assemble a MiningResult directly from hand-picked per-class itemsets."""
+    table = count_singletons(ds)
     pairs = [
         its.antecedent
         for lst in per_class_lists.values()
         for its in lst
         if its.size == 2
     ]
+    indices = [[int(table.offsets[f]) + cat for f, cat in ant] for ant in pairs]
     return MiningResult(
         schema=ds.schema,
         n=ds.n,
@@ -87,8 +88,8 @@ def small_result(per_class_lists, ds):
         itemsets=None,
         per_class=per_class_lists,
         table_stats=TableStats(0, len(pairs)),
-        _singletons=count_singletons(ds),
-        _pair_counts=count_pairs(ds, pairs),
+        _singletons=table,
+        _pair_counts=dict(zip(pairs, count_pairs(ds, indices))),
     )
 
 
@@ -176,12 +177,12 @@ class TestReluctantGate:
         y = np.array([0, 0, 1, 1])
         ds = binary_dataset(x, y, class_names=("0", "1"))
         config = MiningConfig(4, 2, per_class=True, reluctant=True)
-        ranks = RankSpace(ds.schema)
+        space = RankSpace(ds.schema)
         ant = ((0, 1), (1, 1))
-        pool = {
-            0: [ClassItemset(ant, 0, 2, ranks.rank(ant, 0))],
-            1: [],
-        }
+        # singletons (0,1) and (1,1) in class 0 have ranks 2 and 6: item index * 2 classes
+        (its,) = space.itemsets(np.array([2]), np.array([2]), np.array([6]))
+        assert (its.antecedent, its.class_id) == (ant, 0)
+        pool = {0: [its], 1: []}
         result = small_result(pool, ds)
         rules = select_rules_reluctant(result, config)
         assert [(r.antecedent, r.class_id) for r in rules] == [(ant, 0)]

@@ -67,13 +67,6 @@ class TestSubsample:
         a = subsample(ds, SubsampleConfig(500, seed=0))
         assert a.n == 500
 
-    def test_without_replacement_bounded(self):
-        ds = self.ds()
-        got = subsample(ds, SubsampleConfig(200, seed=0, with_replacement=False))
-        assert got.n == 200
-        with pytest.raises(UsageError):
-            subsample(ds, SubsampleConfig(201, seed=0, with_replacement=False))
-
     def test_invalid_size(self):
         with pytest.raises(UsageError):
             SubsampleConfig(0)
@@ -112,5 +105,10 @@ class TestEstimateFrequencies:
         x = np.array([[1, 1], [1, 0], [0, 1], [1, 1]])
         ds = binary_dataset(x, np.zeros(4, dtype=int))
         ant = ((0, 1), (1, 1))
-        est = estimate_frequencies(ds, [ant], SubsampleConfig(4, seed=0, with_replacement=False))
-        assert est[ant] == pytest.approx(0.5)
+        config = SubsampleConfig(40, seed=0)
+        est = estimate_frequencies(ds, [ant], config)
+        # the fraction of drawn rows holding both items, 1/2 in the full table
+        drawn = subsample(ds, config)
+        both = (drawn.columns[0] == 1) & (drawn.columns[1] == 1)
+        assert est[ant] == both.mean()
+        assert 0.25 < est[ant] < 0.75
