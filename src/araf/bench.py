@@ -114,11 +114,13 @@ def gen_s2(n: int, seed: int = 0, p: int = 99, noise_rate: float = 0.05) -> Data
 
 
 def generate(config: SynthConfig) -> Dataset:
+    """The variant's dataset; p=None takes the default width (10 freq, 99 s1/s2)."""
     if config.variant == "freq":
-        return gen_freq_bench(config.n, config.seed, config.p or 10)
+        return gen_freq_bench(config.n, config.seed, 10 if config.p is None else config.p)
+    p = 99 if config.p is None else config.p
     if config.variant == "s1":
-        return gen_s1(config.n, config.seed, config.p or 99, config.noise_rate)
-    return gen_s2(config.n, config.seed, config.p or 99, config.noise_rate)
+        return gen_s1(config.n, config.seed, p, config.noise_rate)
+    return gen_s2(config.n, config.seed, p, config.noise_rate)
 
 
 # -- exhaustive reference miner ---------------------------------------------------
@@ -302,9 +304,25 @@ class LogisticModel:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax of the (n, k) logits z, written over z and returned.
+
+    The row max and row sum are taken one class column at a time: a
+    reduction along a k-long axis pays NumPy's per-row overhead. The running
+    maximum is exact for any k. Adding the columns left to right is the
+    order NumPy's own sum(axis=1) uses for 2 to 7 classes, so for those the
+    result equals z - max, exp, divide by sum bit for bit; from 8 classes
+    NumPy sums in 8 lanes and the last bit may differ.
+    """
+    peak = z[:, 0].copy()
+    for j in range(1, z.shape[1]):
+        np.maximum(peak, z[:, j], out=peak)
+    np.subtract(z, peak[:, None], out=z)
+    np.exp(z, out=z)
+    total = z[:, 0].copy()
+    for j in range(1, z.shape[1]):
+        total += z[:, j]
+    z /= total[:, None]
+    return z
 
 
 def _power_iteration_sq(x: np.ndarray, iters: int = 60) -> float:
@@ -358,17 +376,39 @@ def train_logreg(
     w = np.zeros((d, num_classes))
     b = np.zeros(num_classes)
     w_prev, b_prev = w.copy(), b.copy()
+    # every iteration computes, in place in these buffers,
+    #   wv = w + mu * (w - w_prev)           bv likewise
+    #   g = (softmax(x @ wv + bv) - onehot) / n
+    #   gw = x.T @ g + lam * wv              gb = g.sum(axis=0)
+    #   w, w_prev = wv - step * gw, w        b, b_prev likewise
+    # with the same operations on the same operands, so the model is the
+    # one the expressions above give, bit for bit
+    wv, bv = np.empty_like(w), np.empty_like(b)
+    gw, shrink = np.empty_like(w), np.empty_like(w)
+    z = np.empty((n, num_classes))
     for t in range(1, max_iter + 1):
         mu = (t - 1) / (t + 2)
-        wv = w + mu * (w - w_prev)
-        bv = b + mu * (b - b_prev)
-        probs = _softmax(x @ wv + bv)
-        g = (probs - onehot) / n
-        gw = x.T @ g + lam * wv
+        np.subtract(w, w_prev, out=wv)
+        wv *= mu
+        wv += w
+        np.subtract(b, b_prev, out=bv)
+        bv *= mu
+        bv += b
+        np.matmul(x, wv, out=z)
+        z += bv
+        g = _softmax(z)
+        g -= onehot
+        g /= n
+        np.matmul(x.T, g, out=gw)
+        np.multiply(wv, lam, out=shrink)
+        gw += shrink
         gb = g.sum(axis=0)
-        w_prev, b_prev = w, b
-        w = wv - step * gw
-        b = bv - step * gb
+        np.multiply(gw, step, out=w_prev)
+        np.subtract(wv, w_prev, out=w_prev)
+        w, w_prev = w_prev, w
+        np.multiply(gb, step, out=b_prev)
+        np.subtract(bv, b_prev, out=b_prev)
+        b, b_prev = b_prev, b
         if max(np.abs(gw).max(initial=0.0), np.abs(gb).max(initial=0.0)) < tol:
             break
     return LogisticModel(weights=w, bias=b)
@@ -469,6 +509,11 @@ def run_synth_trial(
     metrics: dict = {}
     if with_eval:
         train_idx, test_idx = stratified_split(ds.labels, 0.3, seed + 7_000_003)
+        if train_idx.size == 0 or test_idx.size == 0:
+            side = "training" if train_idx.size == 0 else "test"
+            raise UsageError(
+                "--n %d leaves the %s side of the 70/30 split empty; use a larger --n" % (n, side)
+            )
         train_ds = Dataset(
             ds.schema, tuple(col[train_idx] for col in ds.columns), ds.labels[train_idx]
         )

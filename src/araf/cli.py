@@ -5,6 +5,7 @@ Four subcommands: discretize (entropy binning of continuous columns), mine
 and bench (synthetic benchmark runs). Every run that writes an output file
 also writes <output>.manifest.json recording the resolved parameters, seed,
 and sha256 of each input, so results can be tied back to what produced them.
+Each file is moved into place only once it is complete (data.open_output).
 
 Exit codes: 0 success, 2 bad usage, 3 bad input data, 4 internal failure.
 """
@@ -21,7 +22,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .data import ColumnKind, Dataset, load_csv, open_csv, open_text, write_csv
+from .data import ColumnKind, Dataset, load_csv, open_csv, open_output, open_text, write_csv
 from .discretize import apply_dataset, fit_dataset, maps_to_json
 from .errors import ArafError, ConflictingFlagsError, DataError, InternalError, UsageError
 from .features import FeatureMode, generate_features, suggest_params, transform
@@ -61,7 +62,7 @@ def write_manifest(out_path: str, command: str, params: dict, inputs: list[str])
         "output": out_path,
     }
     path = out_path + ".manifest.json"
-    with open(path, "w", encoding="utf-8") as f:
+    with open_output(path) as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
     return path
@@ -109,7 +110,7 @@ def cmd_discretize(args) -> int:
     mapped, maps = _binned(_load(args), args)
     write_csv(mapped, args.out_data)
     if args.out_map:
-        with open(args.out_map, "w", encoding="utf-8") as f:
+        with open_output(args.out_map) as f:
             f.write(maps_to_json(maps))
     write_manifest(
         args.out_data,
@@ -195,7 +196,7 @@ def cmd_mine(args) -> int:
             "subsample": args.subsample,
         }
 
-    with open(args.out_rules, "w", encoding="utf-8") as f:
+    with open_output(args.out_rules) as f:
         f.write(rules_to_jsonl(rules, ds.schema))
     params.update(
         {
@@ -244,7 +245,7 @@ def cmd_transform(args) -> int:
     spec = generate_features(parsed, mode)
     matrix, names = transform(ds, spec)
     labels = np.array(ds.schema.classes, dtype=object)[ds.labels]
-    with open(args.out, "w", encoding="utf-8", newline="") as f:
+    with open_output(args.out) as f:
         writer = csv.writer(f)
         writer.writerow(names + [ds.schema.label_name])
         for start in range(0, ds.n, _BLOCK_ROWS):
@@ -272,12 +273,17 @@ def cmd_transform(args) -> int:
 # -- bench --------------------------------------------------------------------------
 
 
+def _given(value: "int | None", default: int) -> int:
+    """A bench flag's value, or its default when the flag was not given; 0 is a value."""
+    return default if value is None else value
+
+
 def _bench_freq(args, writer) -> list[list]:
-    from .bench import gen_freq_bench, run_freq_trial  # imported on use: only bench needs it
+    from .bench import SynthConfig, generate, run_freq_trial  # imported on use: only bench needs it
 
     grid = [100, 500, 1000, 5000]
     recovery_rows = []
-    ds = gen_freq_bench(args.n or 10000, args.seed, args.p or 10)
+    ds = generate(SynthConfig("freq", _given(args.n, 10000), args.seed, args.p))
     for n_prime in grid:
         hits = 0
         err_sum = 0.0
@@ -302,10 +308,10 @@ def _bench_synth(args, writer) -> list[list]:
         trial = run_synth_trial(
             args.variant,
             seed,
-            n=args.n or 1000,
-            p=args.p or 99,
-            d_freq=args.d_freq or 45,
-            d_conf=args.d_conf or 5,
+            n=_given(args.n, 1000),
+            p=_given(args.p, 99),
+            d_freq=_given(args.d_freq, 45),
+            d_conf=_given(args.d_conf, 5),
             with_eval=not args.no_eval,
         )
         for method, metric in trial.metrics.items():
@@ -328,7 +334,7 @@ def _bench_synth(args, writer) -> list[list]:
 def cmd_bench(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
-    with open(args.out, "w", encoding="utf-8", newline="") as f:
+    with open_output(args.out) as f:
         writer = csv.writer(f)
         writer.writerow(["variant", "method", "seed", "logloss", "accuracy"])
         if args.variant == "freq":
@@ -338,7 +344,7 @@ def cmd_bench(args) -> int:
             recovery = _bench_synth(args, writer)
             header = ["variant", "method", "rule", "recovered", "trials"]
     if args.recovery:
-        with open(args.recovery, "w", encoding="utf-8", newline="") as f:
+        with open_output(args.recovery) as f:
             writer = csv.writer(f)
             writer.writerow(header)
             writer.writerows(recovery)

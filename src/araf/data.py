@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -187,6 +188,34 @@ def open_text(path: str):
 
 
 @contextmanager
+def open_output(path: str):
+    """A UTF-8 text file for writing that replaces path only when the block completes.
+
+    The text goes to a temporary file in path's directory, and os.replace
+    moves it onto path when the block ends. If the block raises, the
+    temporary file is removed and whatever was at path is left unchanged.
+    Newlines are written as given. A path that names something other than
+    a regular file, such as a pipe or /dev/stdout, is written directly.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)  # through a symlink, replace the file it names
+    head, tail = os.path.split(target)
+    tmp = os.path.join(head, ".%s.%s.tmp" % (tail, os.urandom(4).hex()))
+    # O_EXCL with mode 0o666 gives the file the mode open(path, "w") would
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+@contextmanager
 def open_csv(path: str):
     """A csv reader over a UTF-8 file; bytes that do not decode raise DataError."""
     with open_text(path) as fh:
@@ -276,7 +305,7 @@ def write_csv(ds: Dataset, path: str) -> None:
         else:
             cols.append(map(repr, col.astype(np.float64).tolist()))
     cols.append(np.array(ds.schema.classes, dtype=object)[ds.labels].tolist())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow([c.name for c in ds.schema.features] + [ds.schema.label_name])
         writer.writerows(zip(*cols))

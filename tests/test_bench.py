@@ -4,9 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from araf.bench import (
+    LogisticModel,
     SynthConfig,
+    _label_matrix,
+    _power_iteration_sq,
     brute_force_topk,
     evaluate,
     freq_ground_truth,
@@ -14,13 +19,15 @@ from araf.bench import (
     gen_s1,
     gen_s2,
     generate,
+    mine_method,
     run_synth_trial,
     s1_ground_truth,
     stratified_split,
     train_logreg,
 )
-from araf.data import binary_dataset
+from araf.data import Dataset, binary_dataset
 from araf.errors import NonFiniteError, SingleClassError, TooLargeError, UsageError
+from araf.features import FeatureMode, generate_features, transform
 from araf.mining import MiningConfig
 
 
@@ -164,6 +171,110 @@ class TestLogreg:
             train_logreg(x, np.zeros(5, dtype=int), 2)
 
 
+# -- reference evaluator: the plain NumPy form that train_logreg must reproduce bit for bit
+
+
+def reference_softmax(z):
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def reference_train_logreg(x, y, num_classes, penalty=1.0, max_iter=400, tol=1e-6):
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n, d = x.shape
+    lam = penalty / n
+    onehot = np.zeros((n, num_classes))
+    onehot[np.arange(n), y] = 1.0
+    lipschitz = 0.5 * (_power_iteration_sq(x) + n) / n + lam
+    step = 1.0 / max(lipschitz, 1e-12)
+    w = np.zeros((d, num_classes))
+    b = np.zeros(num_classes)
+    w_prev, b_prev = w.copy(), b.copy()
+    for t in range(1, max_iter + 1):
+        mu = (t - 1) / (t + 2)
+        wv = w + mu * (w - w_prev)
+        bv = b + mu * (b - b_prev)
+        probs = reference_softmax(x @ wv + bv)
+        g = (probs - onehot) / n
+        gw = x.T @ g + lam * wv
+        gb = g.sum(axis=0)
+        w_prev, b_prev = w, b
+        w = wv - step * gw
+        b = bv - step * gb
+        if max(np.abs(gw).max(initial=0.0), np.abs(gb).max(initial=0.0)) < tol:
+            break
+    return LogisticModel(weights=w, bias=b)
+
+
+def reference_evaluate(model, x, y):
+    probs = reference_softmax(x @ model.weights + model.bias)
+    picked = np.clip(probs[np.arange(len(y)), y], 1e-300, None)
+    return float(-np.log(picked).mean()), float((probs.argmax(axis=1) == y).mean())
+
+
+def assert_same_as_reference(x, y, num_classes, x_test, y_test):
+    got = train_logreg(x, y, num_classes)
+    want = reference_train_logreg(x, y, num_classes)
+    assert np.array_equal(got.weights, want.weights)
+    assert np.array_equal(got.bias, want.bias)
+    assert evaluate(got, x_test, y_test) == reference_evaluate(want, x_test, y_test)
+
+
+@st.composite
+def logreg_cases(draw):
+    """Design matrices with 2-7 classes, integer-valued (so ties are common) or
+    scaled real columns, some columns constant and some copies of another."""
+    num_classes = draw(st.integers(2, 7))
+    n = draw(st.integers(2, 300))
+    d = draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        x = rng.integers(0, draw(st.integers(1, 4)), size=(n, d)).astype(np.float64)
+    else:
+        x = rng.normal(size=(n, d)) * draw(st.sampled_from([0.01, 1.0, 30.0]))
+    for j in range(d):
+        kind = draw(st.sampled_from(["keep", "keep", "constant", "copy"]))
+        if kind == "constant":
+            x[:, j] = draw(st.sampled_from([0.0, 1.0, -2.5]))
+        elif kind == "copy" and j:
+            x[:, j] = x[:, draw(st.integers(0, j - 1))]
+    y = rng.integers(0, num_classes, size=n)
+    y[:2] = [0, 1]  # at least two classes, or training refuses the labels
+    return x, y, num_classes
+
+
+class TestLogregExactness:
+    @settings(max_examples=200, deadline=None)
+    @given(logreg_cases())
+    @example((np.ones((2, 0)), np.array([0, 1]), 2))
+    @example((np.zeros((5, 3)), np.array([0, 1, 6, 6, 3]), 7))
+    def test_matches_plain_numpy_form(self, case):
+        x, y, num_classes = case
+        assert_same_as_reference(x, y, num_classes, x, y)
+
+    def test_matches_on_a_real_trial_matrix(self):
+        # the conf feature matrix of one s1 trial, built as run_synth_trial builds it
+        ds = gen_s1(1000, seed=3)
+        train_idx, test_idx = stratified_split(ds.labels, 0.3, 3 + 7_000_003)
+        train_ds = Dataset(
+            ds.schema, tuple(col[train_idx] for col in ds.columns), ds.labels[train_idx]
+        )
+        spec = generate_features(
+            mine_method(train_ds, "conf", 45, 5), FeatureMode.APPEND_TO_LABEL_ENCODED
+        )
+        matrix, _ = transform(ds, spec)
+        assert matrix[train_idx].shape == (700, 104)
+        assert_same_as_reference(
+            matrix[train_idx], ds.labels[train_idx], 3, matrix[test_idx], ds.labels[test_idx]
+        )
+        base = _label_matrix(ds)
+        assert_same_as_reference(
+            base[train_idx], ds.labels[train_idx], 3, base[test_idx], ds.labels[test_idx]
+        )
+
+
 class TestStratifiedSplit:
     def test_partition_and_proportions(self):
         rng = np.random.default_rng(3)
@@ -197,3 +308,12 @@ class TestTrialHarness:
         assert set(trial.metrics) == {"origin", "conf", "rconf", "reluctant"}
         for logloss, acc in trial.metrics.values():
             assert math.isfinite(logloss) and 0.0 <= acc <= 1.0
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_empty_split_side_is_a_usage_error(self, n):
+        with pytest.raises(UsageError, match="--n %d" % n):
+            run_synth_trial("s1", seed=0, n=n)
+
+    def test_zero_width_is_not_replaced_by_the_default(self):
+        with pytest.raises(UsageError, match="p >= 3"):
+            generate(SynthConfig("s1", 100, seed=1, p=0))

@@ -1,12 +1,16 @@
 """Command line round trips, exit codes, and manifests."""
 
 import csv
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
 
-from araf.cli import main
+from araf import cli
+from araf.cli import main, write_manifest
+from araf.data import open_output
 
 
 @pytest.fixture
@@ -357,6 +361,120 @@ class TestBench:
             rows = list(csv.reader(f))
         assert rows[0] == ["variant", "n_prime", "all_recovered", "trials", "mean_abs_err"]
         assert [r[1] for r in rows[1:]] == ["100", "500", "1000", "5000"]
+
+    def test_empty_test_split_is_a_usage_error(self, tmp_path, capsys):
+        # two rows of different classes leave the 30 % test side empty; the
+        # earlier metrics file is kept and no NaN row is written
+        out = tmp_path / "metrics.csv"
+        out.write_text("earlier\n")
+        rc = main(["bench", "--variant", "s1", "--n", "2", "--trials", "1", "--out", str(out)])
+        assert rc == 2
+        assert "--n 2 leaves the test side" in capsys.readouterr().err
+        assert out.read_text() == "earlier\n"
+        assert sorted(os.listdir(tmp_path)) == ["metrics.csv"]
+
+    @pytest.mark.parametrize(
+        "variant, flag, message",
+        [
+            ("s1", "--n", "n must be >= 1"),
+            ("s1", "--p", "s1 needs p >= 3"),
+            ("s1", "--d-freq", "d_freq must be >= 1"),
+            ("s1", "--d-conf", "d_conf must satisfy"),
+            ("freq", "--n", "n must be >= 1"),
+            ("freq", "--p", "freq benchmark needs p >= 3"),
+        ],
+    )
+    def test_zero_flag_is_not_replaced_by_the_default(self, variant, flag, message, tmp_path, capsys):
+        out = tmp_path / "metrics.csv"
+        argv = ["bench", "--variant", variant, "--trials", "1", "--no-eval", flag, "0",
+                "--out", str(out)]
+        if flag != "--n":
+            argv += ["--n", "60"]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+
+class TestAtomicOutputs:
+    def test_failed_write_keeps_the_earlier_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"earlier,bytes\r\n")
+        with pytest.raises(RuntimeError):
+            with open_output(str(path)) as f:
+                f.write("a,b\n" * 1000)
+                f.flush()
+                raise RuntimeError("failed partway")
+        assert path.read_bytes() == b"earlier,bytes\r\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_new_file_gets_the_usual_mode(self, tmp_path):
+        with open(tmp_path / "plain", "w"):
+            pass
+        with open_output(str(tmp_path / "atomic")) as f:
+            f.write("x\n")
+        assert os.stat(tmp_path / "atomic").st_mode == os.stat(tmp_path / "plain").st_mode
+
+    def test_symlink_is_kept_and_its_target_replaced(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        with open_output(str(link)) as f:
+            f.write("new\n")
+        assert link.is_symlink() and target.read_text() == "new\n"
+
+    def test_pipe_is_written_directly(self):
+        # /dev/stdout is such a path when the output is piped
+        read_end, write_end = os.pipe()
+        with open_output("/dev/fd/%d" % write_end) as f:
+            f.write("piped\n")
+        os.close(write_end)
+        with os.fdopen(read_end) as r:
+            assert r.read() == "piped\n"
+
+    def test_transform_failing_partway_keeps_the_earlier_output(
+        self, categorical_csv, tmp_path, monkeypatch, capsys
+    ):
+        rules = str(tmp_path / "rules.jsonl")
+        assert main(["mine", "--input", categorical_csv, "--label", "y", "--out-rules", rules]) == 0
+        out = tmp_path / "features.csv"
+        out.write_bytes(b"earlier\n")
+        before = sorted(os.listdir(tmp_path))
+        calls = []
+        real = cli._format_g12
+
+        def full_disk_on_second_block(block):
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real(block)
+
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 16)
+        monkeypatch.setattr(cli, "_format_g12", full_disk_on_second_block)
+        rc = main(["transform", "--input", categorical_csv, "--label", "y", "--rules", rules,
+                   "--mode", "label", "--out", str(out)])
+        assert rc == 3 and len(calls) == 2
+        assert "No space left" in capsys.readouterr().err
+        assert out.read_bytes() == b"earlier\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_manifest_failing_partway_keeps_the_earlier_manifest(self, tmp_path):
+        out = str(tmp_path / "out.csv")
+        write_manifest(out, "bench", {"trials": 1}, [])
+        manifest = tmp_path / "out.csv.manifest.json"
+        earlier = manifest.read_bytes()
+        with pytest.raises(TypeError):
+            write_manifest(out, "bench", {"trials": 1, "zz": object()}, [])
+        assert manifest.read_bytes() == earlier
+        assert os.listdir(tmp_path) == ["out.csv.manifest.json"]
+
+    def test_no_temporary_file_is_left(self, mixed_csv, categorical_csv, tmp_path):
+        before = set(os.listdir(tmp_path))
+        written = set()
+        for argv, out in every_command(tmp_path, mixed_csv, categorical_csv):
+            assert main(argv) == 0
+            written |= {os.path.basename(out), os.path.basename(out) + ".manifest.json"}
+        assert set(os.listdir(tmp_path)) == before | written
 
 
 class TestErrors:
