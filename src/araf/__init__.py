@@ -45,12 +45,13 @@ from .mining import (
 from .rules import (
     Rule,
     confidence,
+    generate_rules_threshold,
     lift,
     relative_confidence,
     select_rules,
     select_rules_reluctant,
 )
-from .sampling import SubsampleConfig, required_sample_size, subsample
+from .sampling import required_sample_size, subsample
 
 __all__ = [
     "__version__",
@@ -69,7 +70,6 @@ __all__ = [
     "Rule",
     "Schema",
     "Scoring",
-    "SubsampleConfig",
     "UsageError",
     "apply_dataset",
     "apply_discretizer",
@@ -79,6 +79,7 @@ __all__ = [
     "fit_dataset",
     "fit_discretizer",
     "generate_features",
+    "generate_rules_threshold",
     "info_gain",
     "lift",
     "load_csv",

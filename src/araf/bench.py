@@ -29,6 +29,7 @@ from .errors import (
 from .features import FeatureMode, generate_features, transform
 from .mining import ClassItemset, MiningConfig, Scoring, mine_frequent
 from .rules import Rule, select_rules, select_rules_reluctant
+from .sampling import estimate_frequencies
 
 # -- generators -----------------------------------------------------------------
 
@@ -565,15 +566,11 @@ def run_freq_trial(
     d_freq, plus the absolute error of each subsample frequency estimate
     against its true value.
     """
-    from .sampling import SubsampleConfig, estimate_frequencies
-
     config = MiningConfig(d_freq, d_conf, subsample=n_prime, seed=seed)
     result = mine_frequent(ds, config)
     mined = {(t.antecedent, t.class_id) for t in result.all_itemsets()}
     truths = freq_ground_truth()
     hit = all((ant, 0) in mined for ant, _ in truths)
-    estimates = estimate_frequencies(
-        ds, [ant for ant, _ in truths], SubsampleConfig(n_prime, seed)
-    )
+    estimates = estimate_frequencies(ds, [ant for ant, _ in truths], n_prime, seed)
     errors = [abs(estimates[ant] - true) for ant, true in truths]
     return hit, errors

@@ -33,6 +33,7 @@ from .mining import (
     mine_with_thresholds,
 )
 from .rules import (
+    generate_rules_threshold,
     parse_rules_jsonl,
     rules_to_jsonl,
     select_rules,
@@ -156,7 +157,8 @@ def cmd_mine(args) -> int:
         ds, _ = _binned(ds, args)
 
     if threshold_mode:
-        result, rules = mine_with_thresholds(ds, args.minsupp, args.minconf)
+        result = mine_with_thresholds(ds, args.minsupp)
+        rules = generate_rules_threshold(result, args.minconf)
         params: dict = {"minsupp": args.minsupp, "minconf": args.minconf}
     else:
         scoring_name = args.scoring
@@ -273,23 +275,30 @@ def cmd_transform(args) -> int:
 # -- bench --------------------------------------------------------------------------
 
 
-def _given(value: "int | None", default: int) -> int:
-    """A bench flag's value, or its default when the flag was not given; 0 is a value."""
-    return default if value is None else value
+def _bench_sizes(args) -> dict:
+    """n, p, d_freq and d_conf of a bench run: each flag as given, else its variant's default.
+
+    Only a missing flag takes the default; 0 is a value.
+    """
+    given = {k: getattr(args, k) for k in ("n", "p", "d_freq", "d_conf")}
+    defaults = (10000, 10, 5, 5) if args.variant == "freq" else (1000, 99, 45, 5)
+    return {k: d if given[k] is None else given[k] for k, d in zip(given, defaults)}
 
 
-def _bench_freq(args, writer) -> list[list]:
+def _bench_freq(args, sizes: dict) -> list[list]:
     from .bench import SynthConfig, generate, run_freq_trial  # imported on use: only bench needs it
 
     grid = [100, 500, 1000, 5000]
     recovery_rows = []
-    ds = generate(SynthConfig("freq", _given(args.n, 10000), args.seed, args.p))
+    ds = generate(SynthConfig("freq", sizes["n"], args.seed, sizes["p"]))
     for n_prime in grid:
         hits = 0
         err_sum = 0.0
         err_count = 0
         for t in range(args.trials):
-            hit, errors = run_freq_trial(ds, n_prime, args.seed + 1000 * t)
+            hit, errors = run_freq_trial(
+                ds, n_prime, args.seed + 1000 * t, sizes["d_freq"], sizes["d_conf"]
+            )
             hits += int(hit)
             err_sum += sum(errors)
             err_count += len(errors)
@@ -298,22 +307,14 @@ def _bench_freq(args, writer) -> list[list]:
     return recovery_rows
 
 
-def _bench_synth(args, writer) -> list[list]:
+def _bench_synth(args, sizes: dict, writer) -> list[list]:
     from .bench import METHODS, rule_keys, run_synth_trial, s1_ground_truth
 
     counts: dict = {m: {} for m in METHODS if m != "origin"}
     truths = s1_ground_truth()
     for t in range(args.trials):
         seed = args.seed + 1000 * t
-        trial = run_synth_trial(
-            args.variant,
-            seed,
-            n=_given(args.n, 1000),
-            p=_given(args.p, 99),
-            d_freq=_given(args.d_freq, 45),
-            d_conf=_given(args.d_conf, 5),
-            with_eval=not args.no_eval,
-        )
+        trial = run_synth_trial(args.variant, seed, **sizes, with_eval=not args.no_eval)
         for method, metric in trial.metrics.items():
             writer.writerow([args.variant, method, seed, "%.6f" % metric[0], "%.6f" % metric[1]])
         for method, rules in trial.rules.items():
@@ -334,14 +335,15 @@ def _bench_synth(args, writer) -> list[list]:
 def cmd_bench(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
+    sizes = _bench_sizes(args)
     with open_output(args.out) as f:
         writer = csv.writer(f)
         writer.writerow(["variant", "method", "seed", "logloss", "accuracy"])
         if args.variant == "freq":
-            recovery = _bench_freq(args, writer)
+            recovery = _bench_freq(args, sizes)
             header = ["variant", "n_prime", "all_recovered", "trials", "mean_abs_err"]
         else:
-            recovery = _bench_synth(args, writer)
+            recovery = _bench_synth(args, sizes, writer)
             header = ["variant", "method", "rule", "recovered", "trials"]
     if args.recovery:
         with open_output(args.recovery) as f:
@@ -355,10 +357,7 @@ def cmd_bench(args) -> int:
             "variant": args.variant,
             "trials": args.trials,
             "seed": args.seed,
-            "n": args.n,
-            "p": args.p,
-            "d_freq": args.d_freq,
-            "d_conf": args.d_conf,
+            **sizes,
             "recovery": args.recovery,
             "no_eval": args.no_eval,
         },
@@ -442,8 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--n", type=int, help="rows per trial (default 10000 freq, 1000 s1/s2)")
     b.add_argument("--p", type=int, help="feature count (default 10 freq, 99 s1/s2)")
-    b.add_argument("--d-freq", type=int, help="itemset capacity (s1/s2 default 45)")
-    b.add_argument("--d-conf", type=int, help="rule count (s1/s2 default 5)")
+    b.add_argument("--d-freq", type=int, help="itemset capacity (default 5 freq, 45 s1/s2)")
+    b.add_argument("--d-conf", type=int, help="rule count (default 5)")
     b.add_argument("--no-eval", action="store_true", help="skip the logistic evaluation")
     b.add_argument("--out", required=True, help="output CSV of per-trial metrics")
     b.add_argument("--recovery", help="optional CSV of rule recovery counts")

@@ -77,6 +77,14 @@ class Schema:
     def feature_names(self) -> list[str]:
         return [col.name for col in self.features]
 
+    def require_categorical(self, operation: str) -> None:
+        """Raise ContinuousPresentError naming the first continuous column and operation."""
+        for col in self.features:
+            if col.kind is ColumnKind.CONTINUOUS:
+                raise ContinuousPresentError(
+                    "column %r is continuous; discretize before %s" % (col.name, operation)
+                )
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -121,11 +129,7 @@ class Dataset:
         Raises ContinuousPresentError when any feature is continuous; callers
         that need this view should discretize first.
         """
-        for spec in self.schema.features:
-            if spec.kind is ColumnKind.CONTINUOUS:
-                raise ContinuousPresentError(
-                    "column %r is continuous; discretize before this operation" % spec.name
-                )
+        self.schema.require_categorical("taking the categorical matrix")
         if self.p == 0:
             return np.empty((self.n, 0), dtype=np.int64)
         return np.column_stack([col.astype(np.int64, copy=False) for col in self.columns])
@@ -318,11 +322,7 @@ def one_hot(ds: Dataset) -> tuple[np.ndarray, list[str]]:
     convention in schema order. Raises ContinuousPresentError when a
     continuous column is present.
     """
-    for spec in ds.schema.features:
-        if spec.kind is ColumnKind.CONTINUOUS:
-            raise ContinuousPresentError(
-                "column %r is continuous; one-hot needs categorical data" % spec.name
-            )
+    ds.schema.require_categorical("one-hot encoding")
     blocks: list[np.ndarray] = []
     names: list[str] = []
     for j, spec in enumerate(ds.schema.features):

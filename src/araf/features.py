@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ColumnKind, Dataset, one_hot
-from .errors import ContinuousPresentError, SchemaMismatchError, UsageError
+from .data import Dataset, one_hot
+from .errors import SchemaMismatchError, UsageError
 from .mining import Antecedent
 
 
@@ -84,11 +84,7 @@ def transform(ds: Dataset, spec: FeatureSpec) -> tuple[np.ndarray, list[str]]:
     Returns (matrix, column names). The dataset must be fully categorical;
     unknown columns or categories in the spec raise SchemaMismatchError.
     """
-    for col in ds.schema.features:
-        if col.kind is ColumnKind.CONTINUOUS:
-            raise ContinuousPresentError(
-                "column %r is continuous; discretize before transform" % col.name
-            )
+    ds.schema.require_categorical("transform")
     for ant in spec.antecedents:
         _validate_antecedent(ant, ds)
 

@@ -31,8 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ColumnKind, Dataset, Schema
-from .errors import ContinuousPresentError, DataError, UsageError
+from .data import Dataset, Schema
+from .errors import DataError, UsageError
+from .sampling import subsample
 
 Item = tuple[int, int]  # (feature index, category id)
 Antecedent = tuple[Item, ...]  # length 1 or 2, feature indices strictly increasing
@@ -174,34 +175,14 @@ def top_per_group(support, groups, capacity: int) -> np.ndarray:
     return order[place < capacity]
 
 
-@dataclass
-class SingletonTable:
-    """Joint counts of every (feature=category, class) cell, one scan of the data.
+def count_singletons(ds: Dataset, space: "RankSpace | None" = None) -> np.ndarray:
+    """Every singleton's count, one bincount of (item, class) cells per block of rows.
 
-    Cells never observed stay at zero but are present, so downstream code can
-    read the count of any singleton without special cases. counts.ravel()
-    is indexed by singleton rank.
+    Returns the (total items, num classes) int64 array whose row
+    offsets[f] + c (see RankSpace) holds category c of feature f; cells never
+    observed are zero. Its ravel() is indexed by singleton rank.
     """
-
-    counts: np.ndarray  # (total item slots, num classes)
-    offsets: np.ndarray
-    class_totals: np.ndarray
-    n: int
-
-    def count(self, item: Item, class_id: int) -> int:
-        return int(self.counts[int(self.offsets[item[0]]) + item[1], class_id])
-
-    def class_counts(self, item: Item) -> np.ndarray:
-        return self.counts[int(self.offsets[item[0]]) + item[1]]
-
-
-def count_singletons(ds: Dataset, space: "RankSpace | None" = None) -> SingletonTable:
-    """Every singleton's count, one bincount of (item, class) cells per block of rows."""
-    continuous = [col.name for col in ds.schema.features if col.kind is ColumnKind.CONTINUOUS]
-    if continuous:
-        raise ContinuousPresentError(
-            "column %r is continuous; discretize before mining" % continuous[0]
-        )
+    ds.schema.require_categorical("mining")
     space = space or RankSpace(ds.schema)
     num_classes = ds.num_classes
     counts = np.zeros(space.total_items * num_classes, dtype=np.int64)
@@ -212,12 +193,7 @@ def count_singletons(ds: Dataset, space: "RankSpace | None" = None) -> Singleton
         cells += base
         cells += ds.labels[lo : lo + BLOCK_ROWS]
         counts += np.bincount(cells.ravel(), minlength=len(counts))
-    return SingletonTable(
-        counts=counts.reshape(space.total_items, num_classes),
-        offsets=space.offsets,
-        class_totals=ds.class_counts(),
-        n=ds.n,
-    )
+    return counts.reshape(space.total_items, num_classes)
 
 
 def generate_pair_candidates(frequent, space: RankSpace) -> np.ndarray:
@@ -294,7 +270,7 @@ def count_pairs(ds: Dataset, pairs, space: "RankSpace | None" = None) -> np.ndar
     return out
 
 
-def _count_candidates(ds: Dataset, space: RankSpace, singletons: SingletonTable, frequent):
+def _count_candidates(ds: Dataset, space: RankSpace, singletons: np.ndarray, frequent):
     """The frequent singletons and every candidate pair of them, counted on ds.
 
     frequent holds singleton ranks in ascending order. Returns the
@@ -305,7 +281,7 @@ def _count_candidates(ds: Dataset, space: RankSpace, singletons: SingletonTable,
     classes, first, second = generate_pair_candidates(frequent, space).T
     keys, inverse = _distinct(first * space.total_items + second)
     counts = count_pairs(ds, np.column_stack(np.divmod(keys, space.total_items)), space)
-    support = np.concatenate([singletons.counts.ravel()[frequent], counts[inverse, classes]])
+    support = np.concatenate([singletons.ravel()[frequent], counts[inverse, classes]])
     r1 = np.concatenate([frequent, first * space.num_classes + classes])
     r2 = np.concatenate([np.full(len(frequent), -1), second * space.num_classes + classes])
     return (support, r1, r2), keys, counts
@@ -314,13 +290,6 @@ def _count_candidates(ds: Dataset, space: RankSpace, singletons: SingletonTable,
 def _pair_keys(space: RankSpace, r1, r2) -> np.ndarray:
     """Pair keys of pair rows given by singleton ranks."""
     return r1 // space.num_classes * space.total_items + r2 // space.num_classes
-
-
-def _pair_counts(space: RankSpace, itemsets, r1, r2, keys, counts) -> dict:
-    """Per-class counts of the pairs among itemsets, keyed by antecedent."""
-    pairs = np.flatnonzero(r2 >= 0)
-    rows = counts[np.searchsorted(keys, _pair_keys(space, r1[pairs], r2[pairs]))]
-    return {itemsets[i].antecedent: row for i, row in zip(pairs.tolist(), rows)}
 
 
 @dataclass
@@ -342,8 +311,8 @@ class MiningResult:
 
     Exactly one of itemsets (global mode) or per_class (per-class mode) is
     populated. Supports, n and class_totals are counts on the full data,
-    also when selection ran on a subsample. The pair counts cover the
-    selected pairs only.
+    also when selection ran on a subsample. _counts maps the antecedent of
+    every selected itemset, and only those, to its per-class counts.
     """
 
     schema: Schema
@@ -352,8 +321,7 @@ class MiningResult:
     itemsets: "list[ClassItemset] | None"
     per_class: "dict[int, list[ClassItemset]] | None"
     table_stats: TableStats
-    _singletons: SingletonTable = field(repr=False, default=None)
-    _pair_counts: dict = field(repr=False, default_factory=dict)
+    _counts: dict = field(repr=False, default_factory=dict)
 
     def all_itemsets(self) -> list[ClassItemset]:
         if self.itemsets is not None:
@@ -365,12 +333,42 @@ class MiningResult:
 
     def antecedent_class_counts(self, antecedent: Antecedent) -> np.ndarray:
         """Support of antecedent jointly with each class."""
-        if len(antecedent) == 1:
-            return self._singletons.class_counts(antecedent[0])
-        got = self._pair_counts.get(antecedent)
+        got = self._counts.get(antecedent)
         if got is None:
             raise DataError("antecedent %r was never counted" % (antecedent,))
         return got
+
+
+def _result(
+    ds: Dataset, space: RankSpace, per_class: bool, selected, singletons, pairs, pair_entries
+) -> MiningResult:
+    """The MiningResult of the selected itemset rows (support, r1, r2).
+
+    Rows come grouped by ascending class when per_class is set. singletons
+    and pairs = (sorted pair keys, their per-class counts) hold full-data
+    counts covering every selected itemset; pair_entries is the number of
+    distinct pairs counted during selection.
+    """
+    support, r1, r2 = selected
+    itemsets = space.itemsets(support, r1, r2)
+    keys, pair_counts = pairs
+    is_pair = r2 >= 0
+    counts = singletons[r1 // space.num_classes]
+    at = np.searchsorted(keys, _pair_keys(space, r1[is_pair], r2[is_pair]))
+    counts[is_pair] = pair_counts[at]
+    grouped = None
+    if per_class:
+        bounds = np.searchsorted(r1 % space.num_classes, np.arange(space.num_classes + 1)).tolist()
+        grouped = {c: itemsets[bounds[c] : bounds[c + 1]] for c in range(space.num_classes)}
+    return MiningResult(
+        schema=ds.schema,
+        n=ds.n,
+        class_totals=ds.class_counts(),
+        itemsets=None if per_class else itemsets,
+        per_class=grouped,
+        table_stats=TableStats(len(singletons), pair_entries),
+        _counts={its.antecedent: row for its, row in zip(itemsets, counts)},
+    )
 
 
 def mine_frequent(ds: Dataset, config: MiningConfig) -> MiningResult:
@@ -382,13 +380,11 @@ def mine_frequent(ds: Dataset, config: MiningConfig) -> MiningResult:
     subsample and all surviving counts are then recomputed exactly in one
     pass over the full data.
     """
-    from .sampling import SubsampleConfig, subsample  # local import: sampler also imports data
-
     space = RankSpace(ds.schema)
     num_classes = ds.num_classes
     count_ds = ds
     if config.subsample is not None:
-        count_ds = subsample(ds, SubsampleConfig(config.subsample, config.seed))
+        count_ds = subsample(ds, config.subsample, config.seed)
     # global mode is per-class mode with every class in group 0
     capacity = config.per_class_capacity(num_classes) if config.per_class else config.d_freq
 
@@ -397,12 +393,12 @@ def mine_frequent(ds: Dataset, config: MiningConfig) -> MiningResult:
         return top_per_group(support, groups, capacity)
 
     singletons = count_singletons(count_ds, space)
-    support = singletons.counts.ravel()
+    support = singletons.ravel()
     # a singleton outside its group's pool stays out once pairs join the race
     frequent = np.sort(top(support, np.arange(len(support))))
     (support, r1, r2), keys, counts = _count_candidates(count_ds, space, singletons, frequent)
     keep = top(support, r1)
-    stats = TableStats(singleton_entries=len(singletons.counts), pair_entries=len(keys))
+    pair_entries = len(keys)
 
     if config.subsample is not None:
         # selection was approximate; recount what survived on the full data
@@ -412,60 +408,29 @@ def mine_frequent(ds: Dataset, config: MiningConfig) -> MiningResult:
         is_pair = r2 >= 0
         keys, rows = _distinct(_pair_keys(space, r1[is_pair], r2[is_pair]))
         counts = count_pairs(ds, np.column_stack(np.divmod(keys, space.total_items)), space)
-        support = singletons.counts.ravel()[r1]
+        support = singletons.ravel()[r1]
         support[is_pair] = counts[rows, r1[is_pair] % num_classes]
         keep = top(support, r1)
-    support, r1, r2 = support[keep], r1[keep], r2[keep]
-
-    itemsets = space.itemsets(support, r1, r2)
-    per_class = None
-    if config.per_class:
-        bounds = np.searchsorted(r1 % num_classes, np.arange(num_classes + 1)).tolist()
-        per_class = {c: itemsets[bounds[c] : bounds[c + 1]] for c in range(num_classes)}
-    return MiningResult(
-        schema=ds.schema,
-        n=ds.n,
-        class_totals=singletons.class_totals,
-        itemsets=None if config.per_class else itemsets,
-        per_class=per_class,
-        table_stats=stats,
-        _singletons=singletons,
-        _pair_counts=_pair_counts(space, itemsets, r1, r2, keys, counts),
-    )
+    selected = support[keep], r1[keep], r2[keep]
+    return _result(ds, space, config.per_class, selected, singletons, (keys, counts), pair_entries)
 
 
-def mine_with_thresholds(ds: Dataset, minsupp: float, minconf: float):
-    """Classic minimum-support, minimum-confidence mining (reference path).
+def mine_with_thresholds(ds: Dataset, minsupp: float) -> MiningResult:
+    """Classic minimum-support mining (reference path).
 
-    minsupp is a fraction of the database size; minconf a confidence bound.
-    Returns (result, rules); rules come sorted by enumeration rank and their
-    number is data dependent rather than fixed. Support is anti-monotone, so
-    the frequent pairs are exactly the candidates above the floor.
+    minsupp is a fraction of the database size. The itemsets come in
+    enumeration order and their number is data dependent rather than fixed;
+    rules.generate_rules_threshold selects the rules. Support is
+    anti-monotone, so the frequent pairs are exactly the candidates above
+    the floor.
     """
-    from .rules import generate_rules_threshold
-
     if not 0 < minsupp <= 1:
         raise UsageError("minsupp must lie in (0, 1]")
-    if not 0 <= minconf <= 1:
-        raise UsageError("minconf must lie in [0, 1]")
-
     space = RankSpace(ds.schema)
     singletons = count_singletons(ds, space)
     floor = minsupp * ds.n - 1e-9
-    frequent = np.flatnonzero(singletons.counts.ravel() >= floor)
+    frequent = np.flatnonzero(singletons.ravel() >= floor)
     (support, r1, r2), keys, counts = _count_candidates(ds, space, singletons, frequent)
     kept = support >= floor  # rows are in rank order
-    support, r1, r2 = support[kept], r1[kept], r2[kept]
-    itemsets = space.itemsets(support, r1, r2)
-
-    result = MiningResult(
-        schema=ds.schema,
-        n=ds.n,
-        class_totals=singletons.class_totals,
-        itemsets=itemsets,
-        per_class=None,
-        table_stats=TableStats(len(singletons.counts), len(keys)),
-        _singletons=singletons,
-        _pair_counts=_pair_counts(space, itemsets, r1, r2, keys, counts),
-    )
-    return result, generate_rules_threshold(result, minconf)
+    selected = support[kept], r1[kept], r2[kept]
+    return _result(ds, space, False, selected, singletons, (keys, counts), len(keys))

@@ -184,7 +184,13 @@ def select_rules_reluctant(result: MiningResult, config: MiningConfig) -> list[R
 
 
 def generate_rules_threshold(result: MiningResult, minconf: float) -> list[Rule]:
-    """Keep every rule whose confidence clears minconf, in enumeration order."""
+    """Keep every rule whose confidence clears minconf, in enumeration order.
+
+    The threshold selection after mining.mine_with_thresholds; minconf must
+    lie in [0, 1].
+    """
+    if not 0 <= minconf <= 1:
+        raise UsageError("minconf must lie in [0, 1]")
     rules = [
         r for r in _build_all(result) if r.confidence + 1e-12 >= minconf
     ]

@@ -10,35 +10,23 @@ needed for a target failure probability delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
 from .errors import UsageError
-from .mining import Antecedent
 
 
-@dataclass(frozen=True)
-class SubsampleConfig:
-    """Size and seed of one draw; sampling is uniform over rows."""
-
-    n_prime: int
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_prime < 1:
-            raise UsageError("subsample size must be >= 1")
-
-
-def subsample(ds: Dataset, config: SubsampleConfig) -> Dataset:
-    """Draw config.n_prime rows, i.i.d. uniform with replacement.
+def subsample(ds: Dataset, n_prime: int, seed: int = 0) -> Dataset:
+    """Draw n_prime rows, i.i.d. uniform with replacement.
 
     The draw is a pure function of (seed, n, n_prime); the PCG64 generator
     makes it reproducible across platforms.
     """
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    idx = rng.integers(0, ds.n, size=config.n_prime)
+    if n_prime < 1:
+        raise UsageError("subsample size must be >= 1")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    idx = rng.integers(0, ds.n, size=n_prime)
     cols = tuple(col[idx] for col in ds.columns)
     return Dataset(ds.schema, cols, ds.labels[idx])
 
@@ -53,15 +41,15 @@ def required_sample_size(epsilon: float, delta: float) -> int:
 
 
 def estimate_frequencies(
-    ds: Dataset, antecedents, config: SubsampleConfig
-) -> dict[Antecedent, float]:
+    ds: Dataset, antecedents, n_prime: int, seed: int = 0
+) -> dict[tuple, float]:
     """Estimated occurrence fraction of each antecedent on one subsample.
 
-    Antecedents here are plain item tuples (no class); the estimate is the
-    fraction of sampled rows matching all items.
+    Antecedents here are plain tuples of (feature, category) items (no
+    class); the estimate is the fraction of sampled rows matching all items.
     """
-    sub = subsample(ds, config)
-    out: dict[Antecedent, float] = {}
+    sub = subsample(ds, n_prime, seed)
+    out = {}
     for ant in antecedents:
         mask = np.ones(sub.n, dtype=bool)
         for f, c in ant:

@@ -26,7 +26,7 @@ from araf.data import Column, ColumnKind, Dataset, Schema
 from araf.features import suggest_params
 from araf.mining import MiningConfig, Scoring, mine_frequent
 from araf.rules import _build_all, score_rule, select_rules, select_rules_reluctant
-from araf.sampling import SubsampleConfig, estimate_frequencies, required_sample_size
+from araf.sampling import estimate_frequencies, required_sample_size
 
 DETAILS = {}
 
@@ -243,7 +243,7 @@ def test_criterion_6_hoeffding_subsampling():
     t0 = time.perf_counter()
     misorders = 0
     for seed in range(1000):
-        est = estimate_frequencies(ds, [pair, single], SubsampleConfig(5000, seed=seed))
+        est = estimate_frequencies(ds, [pair, single], 5000, seed=seed)
         if est[pair] <= est[single]:
             misorders += 1
     elapsed = time.perf_counter() - t0

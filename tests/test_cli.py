@@ -183,6 +183,19 @@ class TestMine:
         )
         assert rc == 2
 
+    def test_minconf_out_of_range(self, categorical_csv, tmp_path, capsys):
+        out = tmp_path / "r.jsonl"
+        rc = main(
+            [
+                "mine", "--input", categorical_csv, "--label", "y",
+                "--minsupp", "0.2", "--minconf", "1.5", "--out-rules", str(out),
+            ]
+        )
+        assert rc == 2
+        assert "minconf must lie in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "r.jsonl.manifest.json").exists()
+
     def test_minsupp_needs_minconf(self, categorical_csv, tmp_path):
         rc = main(
             [
@@ -382,6 +395,8 @@ class TestBench:
             ("s1", "--d-conf", "d_conf must satisfy"),
             ("freq", "--n", "n must be >= 1"),
             ("freq", "--p", "freq benchmark needs p >= 3"),
+            ("freq", "--d-freq", "d_freq must be >= 1"),
+            ("freq", "--d-conf", "d_conf must satisfy"),
         ],
     )
     def test_zero_flag_is_not_replaced_by_the_default(self, variant, flag, message, tmp_path, capsys):
@@ -393,6 +408,32 @@ class TestBench:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+
+    def test_manifest_records_the_s1_defaults(self, tmp_path):
+        out = str(tmp_path / "metrics.csv")
+        assert main(["bench", "--variant", "s1", "--trials", "1", "--no-eval", "--out", out]) == 0
+        params = read_manifest(out)["params"]
+        assert (params["n"], params["p"], params["d_freq"], params["d_conf"]) == (1000, 99, 45, 5)
+
+    def test_freq_manifest_records_the_sizes_that_ran(self, tmp_path, monkeypatch):
+        from araf import bench
+
+        real = bench.run_freq_trial
+        ran = []
+
+        def spy(ds, n_prime, seed, d_freq, d_conf):
+            ran.append((ds.n, ds.p, d_freq, d_conf))
+            return real(ds, n_prime, seed, d_freq, d_conf)
+
+        monkeypatch.setattr(bench, "run_freq_trial", spy)
+        out = str(tmp_path / "metrics.csv")
+        argv = ["bench", "--variant", "freq", "--trials", "1", "--n", "500", "--d-freq", "6",
+                "--d-conf", "2", "--out", out]
+        assert main(argv) == 0
+        params = read_manifest(out)["params"]
+        assert set(ran) == {(params["n"], params["p"], params["d_freq"], params["d_conf"])}
+        assert set(ran) == {(500, 10, 6, 2)}
 
 
 class TestAtomicOutputs:

@@ -27,6 +27,8 @@ from araf.errors import (
     UnknownLabelColumnError,
     UsageError,
 )
+from araf.features import FeatureMode, FeatureSpec, transform
+from araf.mining import MiningConfig, count_singletons, mine_frequent, mine_with_thresholds
 
 
 def write(tmp_path, text, name="d.csv"):
@@ -228,6 +230,26 @@ class TestOneHot:
         ds = load_csv(write(tmp_path, BASIC), "y")
         with pytest.raises(ContinuousPresentError):
             one_hot(ds)
+
+
+@pytest.mark.parametrize(
+    "operation, call",
+    [
+        ("mining", count_singletons),
+        ("mining", lambda ds: mine_frequent(ds, MiningConfig(4, 2))),
+        ("mining", lambda ds: mine_with_thresholds(ds, 0.5)),
+        ("taking the categorical matrix", Dataset.categorical_matrix),
+        ("transform", lambda ds: transform(ds, FeatureSpec((), FeatureMode.APPEND_TO_LABEL_ENCODED))),
+        ("one-hot encoding", one_hot),
+    ],
+    ids=["count_singletons", "mine_frequent", "mine_with_thresholds", "categorical_matrix",
+         "transform", "one_hot"],
+)
+def test_continuous_column_is_named_with_the_operation(operation, call, tmp_path):
+    ds = load_csv(write(tmp_path, BASIC), "y")  # b is continuous
+    with pytest.raises(ContinuousPresentError) as info:
+        call(ds)
+    assert str(info.value) == "column 'b' is continuous; discretize before %s" % operation
 
 
 class TestBinaryDataset:

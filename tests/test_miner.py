@@ -24,8 +24,8 @@ from araf.mining import (
     mine_with_thresholds,
     top_per_group,
 )
-from araf.rules import select_rules, select_rules_reluctant
-from araf.sampling import SubsampleConfig, subsample
+from araf.rules import generate_rules_threshold, select_rules, select_rules_reluctant
+from araf.sampling import subsample
 
 
 def random_dataset(rng, n=None, p=None, max_cats=4, max_classes=3):
@@ -223,25 +223,29 @@ class TestCounting:
         y = np.array([0, 1, 1, 0])
         ds = binary_dataset(x, y, class_names=("a", "b"))
         table = count_singletons(ds)
-        assert table.count((0, 0), 0) == 2  # rows 0 and 3
-        assert table.count((0, 0), 1) == 1  # row 1
-        assert table.count((1, 1), 0) == 2
-        assert table.count((1, 0), 0) == 0
-        assert list(table.class_totals) == [2, 2]
+        offsets = RankSpace(ds.schema).offsets
+        assert table[offsets[0] + 0, 0] == 2  # rows 0 and 3
+        assert table[offsets[0] + 0, 1] == 1  # row 1
+        assert table[offsets[1] + 1, 0] == 2
+        assert table[offsets[1] + 0, 0] == 0
+        # each feature's items partition the rows of every class
+        assert table[offsets[0] : offsets[1]].sum(axis=0).tolist() == [2, 2]
+        assert table.dtype == np.int64
 
     def test_singletons_include_zero_cells(self):
         ds = binary_dataset(np.ones((3, 1), dtype=int), np.zeros(3, dtype=int))
         table = count_singletons(ds)
-        assert table.counts.shape == (2, 1)  # categories 0 and 1, one class
-        assert set(table.counts.ravel().tolist()) == {0, 3}
+        assert table.shape == (2, 1)  # categories 0 and 1, one class
+        assert set(table.ravel().tolist()) == {0, 3}
 
     def test_singletons_cross_blocks(self):
         ds, _ = block_crossing_case()
         table = count_singletons(ds)
+        offsets = RankSpace(ds.schema).offsets
         for f, col in enumerate(ds.columns):
             for cat in range(len(ds.schema.features[f].categories)):
                 want = np.bincount(ds.labels[col == cat], minlength=3)
-                assert table.class_counts((f, cat)).tolist() == want.tolist()
+                assert table[offsets[f] + cat].tolist() == want.tolist()
 
     def test_pair_hand_count(self):
         x = np.array([[0, 1, 1], [0, 1, 0], [1, 1, 1], [0, 0, 1]])
@@ -317,7 +321,7 @@ class TestPairCandidates:
         rng = np.random.default_rng(2)
         ds = random_dataset(rng)
         space = RankSpace(ds.schema)
-        support = count_singletons(ds).counts.ravel()
+        support = count_singletons(ds).ravel()
         fs1 = top_per_group(support, np.zeros_like(support), 12)
         got = generate_pair_candidates(np.concatenate([fs1, fs1]), space)
         c = space.num_classes
@@ -355,11 +359,12 @@ class TestMineFrequent:
         config = MiningConfig(20, 5)
         result = mine_frequent(ds, config)
         table = count_singletons(ds)
+        offsets = RankSpace(ds.schema).offsets
         for its in result.all_itemsets():
             if its.size != 2:
                 continue
-            for item in its.antecedent:
-                parent = table.count(item, its.class_id)
+            for f, cat in its.antecedent:
+                parent = table[offsets[f] + cat, its.class_id]
                 assert its.support <= parent
 
     def test_deterministic(self):
@@ -387,7 +392,7 @@ class TestMineFrequent:
         ds = random_dataset(rng, n=400)
         result = mine_frequent(ds, MiningConfig(10, 4, subsample=80, seed=5))
         # selection ran on the draw: the pool is the one mined from it directly
-        drawn = mine_frequent(subsample(ds, SubsampleConfig(80, 5)), MiningConfig(10, 4))
+        drawn = mine_frequent(subsample(ds, 80, 5), MiningConfig(10, 4))
         assert {(i.antecedent, i.class_id) for i in result.all_itemsets()} == {
             (i.antecedent, i.class_id) for i in drawn.all_itemsets()
         }
@@ -508,7 +513,8 @@ class TestThresholdMining:
         y = np.array([0, 0, 1, 1, 0, 0, 1, 1])
         ds = binary_dataset(x, y, class_names=("a", "b"))
         minsupp, minconf = 0.25, 0.6
-        result, rules = mine_with_thresholds(ds, minsupp, minconf)
+        result = mine_with_thresholds(ds, minsupp)
+        rules = generate_rules_threshold(result, minconf)
 
         # enumerate every 1- and 2-item class itemset by brute force
         items = [(j, c) for j in range(3) for c in range(2)]
@@ -549,7 +555,8 @@ class TestThresholdMining:
     @example((categorical_dataset([3], [[0], [2], [2], [1]], [0, 1, 1, 0], 2), None), 0.25, 0.5)
     def test_equals_enumeration(self, case, minsupp, minconf):
         ds = case[0]
-        result, rules = mine_with_thresholds(ds, minsupp, minconf)
+        result = mine_with_thresholds(ds, minsupp)
+        rules = generate_rules_threshold(result, minconf)
         itemsets, want_rules = threshold_reference(ds, minsupp, minconf)
         assert result.itemsets == itemsets
         assert [
@@ -559,6 +566,6 @@ class TestThresholdMining:
     def test_bad_thresholds_rejected(self):
         ds = binary_dataset(np.zeros((4, 2), dtype=int), np.array([0, 1, 0, 1]))
         with pytest.raises(UsageError):
-            mine_with_thresholds(ds, 0.0, 0.5)
+            mine_with_thresholds(ds, 0.0)
         with pytest.raises(UsageError):
-            mine_with_thresholds(ds, 0.5, 1.5)
+            generate_rules_threshold(mine_with_thresholds(ds, 0.5), 1.5)

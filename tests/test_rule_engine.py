@@ -20,6 +20,7 @@ from araf.mining import (
 )
 from araf.rules import (
     confidence,
+    generate_rules_threshold,
     lift,
     parse_rules_jsonl,
     relative_confidence,
@@ -74,13 +75,12 @@ class TestLift:
 def small_result(per_class_lists, ds):
     """Assemble a MiningResult directly from hand-picked per-class itemsets."""
     table = count_singletons(ds)
-    pairs = [
-        its.antecedent
-        for lst in per_class_lists.values()
-        for its in lst
-        if its.size == 2
-    ]
-    indices = [[int(table.offsets[f]) + cat for f, cat in ant] for ant in pairs]
+    offsets = RankSpace(ds.schema).offsets
+    antecedents = {its.antecedent for lst in per_class_lists.values() for its in lst}
+    pairs = [ant for ant in antecedents if len(ant) == 2]
+    indices = [[int(offsets[f]) + cat for f, cat in ant] for ant in pairs]
+    counts = {ant: table[offsets[ant[0][0]] + ant[0][1]] for ant in antecedents if len(ant) == 1}
+    counts.update(zip(pairs, count_pairs(ds, indices)))
     return MiningResult(
         schema=ds.schema,
         n=ds.n,
@@ -88,8 +88,7 @@ def small_result(per_class_lists, ds):
         itemsets=None,
         per_class=per_class_lists,
         table_stats=TableStats(0, len(pairs)),
-        _singletons=table,
-        _pair_counts=dict(zip(pairs, count_pairs(ds, indices))),
+        _counts=counts,
     )
 
 
@@ -235,7 +234,7 @@ class TestThresholdRules:
         x = np.array([[1], [1], [1], [1], [0], [0], [0], [0]])
         y = np.array([0, 0, 0, 1, 1, 1, 1, 1])
         ds = binary_dataset(x, y, class_names=("0", "1"))
-        _, rules = mine_with_thresholds(ds, minsupp=0.125, minconf=0.75)
+        rules = generate_rules_threshold(mine_with_thresholds(ds, minsupp=0.125), minconf=0.75)
         keys = {(r.antecedent, r.class_id) for r in rules}
         # confidence of (X1=1)->0 is exactly 0.75
         assert (((0, 1),), 0) in keys

@@ -6,12 +6,7 @@ import pytest
 from araf.bench import gen_freq_bench
 from araf.data import binary_dataset
 from araf.errors import UsageError
-from araf.sampling import (
-    SubsampleConfig,
-    estimate_frequencies,
-    required_sample_size,
-    subsample,
-)
+from araf.sampling import estimate_frequencies, required_sample_size, subsample
 
 
 class TestRequiredSampleSize:
@@ -46,46 +41,46 @@ class TestSubsample:
 
     def test_size_and_determinism(self):
         ds = self.ds()
-        a = subsample(ds, SubsampleConfig(50, seed=3))
-        b = subsample(ds, SubsampleConfig(50, seed=3))
+        a = subsample(ds, 50, seed=3)
+        b = subsample(ds, 50, seed=3)
         assert a.n == 50
         assert a.values_equal(b)
 
     def test_different_seed_differs(self):
         ds = self.ds()
-        a = subsample(ds, SubsampleConfig(50, seed=3))
-        b = subsample(ds, SubsampleConfig(50, seed=4))
+        a = subsample(ds, 50, seed=3)
+        b = subsample(ds, 50, seed=4)
         assert not a.values_equal(b)
 
     def test_single_row_draw(self):
         ds = self.ds()
-        a = subsample(ds, SubsampleConfig(1, seed=0))
+        a = subsample(ds, 1, seed=0)
         assert a.n == 1
 
     def test_with_replacement_can_exceed_n(self):
         ds = self.ds()
-        a = subsample(ds, SubsampleConfig(500, seed=0))
+        a = subsample(ds, 500, seed=0)
         assert a.n == 500
 
     def test_invalid_size(self):
         with pytest.raises(UsageError):
-            SubsampleConfig(0)
+            subsample(self.ds(), 0)
 
     def test_schema_preserved(self):
         ds = self.ds()
-        got = subsample(ds, SubsampleConfig(30, seed=1))
+        got = subsample(ds, 30, seed=1)
         assert got.schema == ds.schema
 
 
 class TestEstimateFrequencies:
     def test_constant_antecedent_estimates_one(self):
         ds = binary_dataset(np.ones((40, 2), dtype=int), np.zeros(40, dtype=int))
-        est = estimate_frequencies(ds, [((0, 1),)], SubsampleConfig(10, seed=0))
+        est = estimate_frequencies(ds, [((0, 1),)], 10, seed=0)
         assert est[((0, 1),)] == 1.0
 
     def test_absent_antecedent_estimates_zero(self):
         ds = binary_dataset(np.ones((40, 2), dtype=int), np.zeros(40, dtype=int))
-        est = estimate_frequencies(ds, [((0, 0),)], SubsampleConfig(10, seed=0))
+        est = estimate_frequencies(ds, [((0, 0),)], 10, seed=0)
         assert est[((0, 0),)] == 0.0
 
     def test_accuracy_at_bound_size(self):
@@ -96,7 +91,7 @@ class TestEstimateFrequencies:
         within = 0
         trials = 200
         for seed in range(trials):
-            est = estimate_frequencies(ds, [ant], SubsampleConfig(5000, seed=seed))
+            est = estimate_frequencies(ds, [ant], 5000, seed=seed)
             if abs(est[ant] - 0.7) <= 0.02:
                 within += 1
         assert within >= 0.95 * trials
@@ -105,10 +100,9 @@ class TestEstimateFrequencies:
         x = np.array([[1, 1], [1, 0], [0, 1], [1, 1]])
         ds = binary_dataset(x, np.zeros(4, dtype=int))
         ant = ((0, 1), (1, 1))
-        config = SubsampleConfig(40, seed=0)
-        est = estimate_frequencies(ds, [ant], config)
+        est = estimate_frequencies(ds, [ant], 40, seed=0)
         # the fraction of drawn rows holding both items, 1/2 in the full table
-        drawn = subsample(ds, config)
+        drawn = subsample(ds, 40, seed=0)
         both = (drawn.columns[0] == 1) & (drawn.columns[1] == 1)
         assert est[ant] == both.mean()
         assert 0.25 < est[ant] < 0.75
