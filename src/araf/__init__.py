@@ -14,7 +14,6 @@ from .data import (
     Schema,
     binary_dataset,
     load_csv,
-    one_hot,
     write_csv,
 )
 from .discretize import (
@@ -29,8 +28,6 @@ from .discretize import (
 from .errors import ArafError, DataError, InternalError, UsageError
 from .features import (
     FeatureMode,
-    FeatureSpec,
-    generate_features,
     suggest_params,
     transform,
 )
@@ -63,7 +60,6 @@ __all__ = [
     "Dataset",
     "DiscretizationMap",
     "FeatureMode",
-    "FeatureSpec",
     "InternalError",
     "MiningConfig",
     "MiningResult",
@@ -78,14 +74,12 @@ __all__ = [
     "entropy",
     "fit_dataset",
     "fit_discretizer",
-    "generate_features",
     "generate_rules_threshold",
     "info_gain",
     "lift",
     "load_csv",
     "mine_frequent",
     "mine_with_thresholds",
-    "one_hot",
     "relative_confidence",
     "required_sample_size",
     "select_rules",

@@ -26,7 +26,7 @@ from .errors import (
     TooLargeError,
     UsageError,
 )
-from .features import FeatureMode, generate_features, transform
+from .features import FeatureMode, transform
 from .mining import ClassItemset, MiningConfig, Scoring, mine_frequent
 from .rules import Rule, select_rules, select_rules_reluctant
 from .sampling import estimate_frequencies
@@ -40,7 +40,6 @@ class SynthConfig:
     n: int
     seed: int = 0
     p: "int | None" = None
-    noise_rate: float = 0.05
 
     def __post_init__(self) -> None:
         if self.variant not in ("freq", "s1", "s2"):
@@ -78,31 +77,35 @@ def _s_matrix(n: int, p: int, rng: np.random.Generator) -> np.ndarray:
     return x
 
 
-def _s_labels(x: np.ndarray, noise_rate: float, rng: np.random.Generator) -> np.ndarray:
+NOISE_RATE = 0.05
+"""Fraction of s1/s2 rows whose label is redrawn uniformly at random."""
+
+
+def _s_labels(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     y = np.where(x[:, 0] == 0, 0, np.where((x[:, 1] == 1) & (x[:, 2] == 1), 2, 1))
     y = y.astype(np.int64)
-    k = int(round(noise_rate * len(y)))
+    k = int(round(NOISE_RATE * len(y)))
     if k:
         idx = rng.choice(len(y), size=k, replace=False)
         y[idx] = rng.integers(0, 3, size=k)
     return y
 
 
-def gen_s1(n: int, seed: int = 0, p: int = 99, noise_rate: float = 0.05) -> Dataset:
+def gen_s1(n: int, seed: int = 0, p: int = 99) -> Dataset:
     """Three classes: X1=0 forces class 0; otherwise X2*X3 separates 2 from 1.
 
     X1 is Bernoulli(0.3), all other columns fair coins; afterwards a
-    noise_rate fraction of rows gets a uniformly random label.
+    NOISE_RATE fraction of rows gets a uniformly random label.
     """
     if p < 3:
         raise UsageError("s1 needs p >= 3")
     rng = np.random.Generator(np.random.PCG64(seed))
     x = _s_matrix(n, p, rng)
-    y = _s_labels(x, noise_rate, rng)
+    y = _s_labels(x, rng)
     return binary_dataset(x, y, class_names=("0", "1", "2"))
 
 
-def gen_s2(n: int, seed: int = 0, p: int = 99, noise_rate: float = 0.05) -> Dataset:
+def gen_s2(n: int, seed: int = 0, p: int = 99) -> Dataset:
     """s1 with the last two columns constant 1, creating redundant rules."""
     if p < 5:
         raise UsageError("s2 needs p >= 5")
@@ -110,7 +113,7 @@ def gen_s2(n: int, seed: int = 0, p: int = 99, noise_rate: float = 0.05) -> Data
     x = _s_matrix(n, p, rng)
     x[:, p - 2] = 1
     x[:, p - 1] = 1
-    y = _s_labels(x, noise_rate, rng)
+    y = _s_labels(x, rng)
     return binary_dataset(x, y, class_names=("0", "1", "2"))
 
 
@@ -120,8 +123,8 @@ def generate(config: SynthConfig) -> Dataset:
         return gen_freq_bench(config.n, config.seed, 10 if config.p is None else config.p)
     p = 99 if config.p is None else config.p
     if config.variant == "s1":
-        return gen_s1(config.n, config.seed, p, config.noise_rate)
-    return gen_s2(config.n, config.seed, p, config.noise_rate)
+        return gen_s1(config.n, config.seed, p)
+    return gen_s2(config.n, config.seed, p)
 
 
 # -- exhaustive reference miner ---------------------------------------------------
@@ -344,19 +347,15 @@ def _power_iteration_sq(x: np.ndarray, iters: int = 60) -> float:
 
 
 def train_logreg(
-    x: np.ndarray,
-    y: np.ndarray,
-    num_classes: int,
-    penalty: float = 1.0,
-    max_iter: int = 400,
-    tol: float = 1e-6,
+    x: np.ndarray, y: np.ndarray, num_classes: int, penalty: float = 1.0
 ) -> LogisticModel:
     """Softmax regression from zero weights by accelerated gradient descent.
 
     The loss is mean cross entropy plus 0.5 * (penalty / n) * ||W||^2 with
     an unpenalized bias. The step size comes from a Lipschitz bound, the
     momentum schedule is fixed, and nothing is randomized, so retraining on
-    identical input reproduces the model bit for bit.
+    identical input reproduces the model bit for bit. Descent stops after
+    400 iterations, or earlier once no gradient entry reaches 1e-6.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -387,7 +386,7 @@ def train_logreg(
     wv, bv = np.empty_like(w), np.empty_like(b)
     gw, shrink = np.empty_like(w), np.empty_like(w)
     z = np.empty((n, num_classes))
-    for t in range(1, max_iter + 1):
+    for t in range(1, 401):
         mu = (t - 1) / (t + 2)
         np.subtract(w, w_prev, out=wv)
         wv *= mu
@@ -410,7 +409,7 @@ def train_logreg(
         np.multiply(gb, step, out=b_prev)
         np.subtract(bv, b_prev, out=b_prev)
         b, b_prev = b_prev, b
-        if max(np.abs(gw).max(initial=0.0), np.abs(gb).max(initial=0.0)) < tol:
+        if max(np.abs(gw).max(initial=0.0), np.abs(gb).max(initial=0.0)) < 1e-6:
             break
     return LogisticModel(weights=w, bias=b)
 
@@ -477,10 +476,6 @@ def mine_method(ds: Dataset, method: str, d_freq: int, d_conf: int) -> list[Rule
     return select_rules(result, config)
 
 
-def _label_matrix(ds: Dataset) -> np.ndarray:
-    return np.column_stack([col.astype(np.float64) for col in ds.columns])
-
-
 @dataclass
 class TrialResult:
     seed: int
@@ -518,15 +513,12 @@ def run_synth_trial(
         train_ds = Dataset(
             ds.schema, tuple(col[train_idx] for col in ds.columns), ds.labels[train_idx]
         )
-        base = _label_matrix(ds)
         y = ds.labels
-        sets: dict[str, np.ndarray] = {"origin": base}
-        for m in METHODS[1:]:
-            train_rules = mine_method(train_ds, m, d_freq, d_conf)
-            spec = generate_features(train_rules, FeatureMode.APPEND_TO_LABEL_ENCODED)
-            matrix, _ = transform(ds, spec)
-            sets[m] = matrix
-        for m, matrix in sets.items():
+        for m in METHODS:
+            train_rules = [] if m == "origin" else mine_method(train_ds, m, d_freq, d_conf)
+            matrix, _ = transform(
+                ds, [r.antecedent for r in train_rules], FeatureMode.APPEND_TO_LABEL_ENCODED
+            )
             model = train_logreg(matrix[train_idx], y[train_idx], ds.num_classes)
             metrics[m] = evaluate(model, matrix[test_idx], y[test_idx])
     return TrialResult(seed=seed, rules=rules, metrics=metrics)
@@ -558,15 +550,16 @@ def freq_ground_truth() -> list[tuple[tuple, float]]:
 
 
 def run_freq_trial(
-    ds: Dataset, n_prime: int, seed: int, d_freq: int = 5, d_conf: int = 5
+    ds: Dataset, n_prime: int, seed: int, d_freq: int = 5
 ) -> tuple[bool, list[float]]:
     """Mine the freq dataset on one subsample draw.
 
     Returns whether all four planted antecedents made the mined top
     d_freq, plus the absolute error of each subsample frequency estimate
-    against its true value.
+    against its true value. No rules are selected, so no d_conf applies;
+    the config carries d_conf = d_freq, which mine_frequent never reads.
     """
-    config = MiningConfig(d_freq, d_conf, subsample=n_prime, seed=seed)
+    config = MiningConfig(d_freq, d_freq, subsample=n_prime, seed=seed)
     result = mine_frequent(ds, config)
     mined = {(t.antecedent, t.class_id) for t in result.all_itemsets()}
     truths = freq_ground_truth()

@@ -25,7 +25,7 @@ from . import __version__
 from .data import ColumnKind, Dataset, load_csv, open_csv, open_output, open_text, write_csv
 from .discretize import apply_dataset, fit_dataset, maps_to_json
 from .errors import ArafError, ConflictingFlagsError, DataError, InternalError, UsageError
-from .features import FeatureMode, generate_features, suggest_params, transform
+from .features import FeatureMode, suggest_params, transform
 from .mining import (
     MiningConfig,
     Scoring,
@@ -39,9 +39,6 @@ from .rules import (
     select_rules,
     select_rules_reluctant,
 )
-
-_SCORING = {"conf": Scoring.CONFIDENCE, "rconf": Scoring.RELATIVE_CONFIDENCE, "lift": Scoring.LIFT}
-
 
 def _sha256(path: str) -> str:
     h = hashlib.sha256()
@@ -179,7 +176,7 @@ def cmd_mine(args) -> int:
             d_freq=d_freq,
             d_conf=d_conf,
             per_class=per_class,
-            scoring=_SCORING[scoring_name],
+            scoring=Scoring(scoring_name),
             reluctant=args.reluctant,
             subsample=args.subsample,
             seed=args.seed,
@@ -240,12 +237,8 @@ def cmd_transform(args) -> int:
         ds, _ = _binned(ds, args)
     with open_text(args.rules) as f:
         text = f.read()
-    parsed = parse_rules_jsonl(text, ds.schema)
-    mode = FeatureMode.APPEND_TO_LABEL_ENCODED if args.mode == "label" else (
-        FeatureMode.APPEND_INTERACTIONS_TO_ONE_HOT
-    )
-    spec = generate_features(parsed, mode)
-    matrix, names = transform(ds, spec)
+    antecedents = [ant for ant, _ in parse_rules_jsonl(text, ds.schema)]
+    matrix, names = transform(ds, antecedents, FeatureMode(args.mode))
     labels = np.array(ds.schema.classes, dtype=object)[ds.labels]
     with open_output(args.out) as f:
         writer = csv.writer(f)
@@ -276,13 +269,18 @@ def cmd_transform(args) -> int:
 
 
 def _bench_sizes(args) -> dict:
-    """n, p, d_freq and d_conf of a bench run: each flag as given, else its variant's default.
+    """n, p, d_freq and (s1/s2 only) d_conf of a bench run: each flag as given, else its default.
 
-    Only a missing flag takes the default; 0 is a value.
+    Only a missing flag takes the default; 0 is a value. A freq trial selects
+    no rules, so --d-conf with --variant freq is a usage error.
     """
-    given = {k: getattr(args, k) for k in ("n", "p", "d_freq", "d_conf")}
-    defaults = (10000, 10, 5, 5) if args.variant == "freq" else (1000, 99, 45, 5)
-    return {k: d if given[k] is None else given[k] for k, d in zip(given, defaults)}
+    if args.variant == "freq":
+        if args.d_conf is not None:
+            raise UsageError("--d-conf does not apply to --variant freq, which selects no rules")
+        defaults = {"n": 10000, "p": 10, "d_freq": 5}
+    else:
+        defaults = {"n": 1000, "p": 99, "d_freq": 45, "d_conf": 5}
+    return {k: d if getattr(args, k) is None else getattr(args, k) for k, d in defaults.items()}
 
 
 def _bench_freq(args, sizes: dict) -> list[list]:
@@ -296,9 +294,7 @@ def _bench_freq(args, sizes: dict) -> list[list]:
         err_sum = 0.0
         err_count = 0
         for t in range(args.trials):
-            hit, errors = run_freq_trial(
-                ds, n_prime, args.seed + 1000 * t, sizes["d_freq"], sizes["d_conf"]
-            )
+            hit, errors = run_freq_trial(ds, n_prime, args.seed + 1000 * t, sizes["d_freq"])
             hits += int(hit)
             err_sum += sum(errors)
             err_count += len(errors)
@@ -335,6 +331,9 @@ def _bench_synth(args, sizes: dict, writer) -> list[list]:
 def cmd_bench(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
+    if args.recovery is None and (args.variant == "freq" or args.no_eval):
+        # such a run writes no metrics, so its results would go nowhere
+        raise UsageError("--variant freq and --no-eval need --recovery, where their results go")
     sizes = _bench_sizes(args)
     with open_output(args.out) as f:
         writer = csv.writer(f)
@@ -405,7 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common_io(m)
     m.add_argument("--d-freq", type=int, help="frequent itemset capacity (default 5*classes*sqrt(p))")
     m.add_argument("--d-conf", type=int, help="rule count (default 5*sqrt(p))")
-    m.add_argument("--scoring", choices=sorted(_SCORING), help="rule score (default conf)")
+    m.add_argument(
+        "--scoring",
+        choices=sorted(scoring.value for scoring in Scoring),
+        help="rule score (default conf)",
+    )
     m.add_argument("--per-class", action="store_true", help="split itemset capacity per class")
     m.add_argument(
         "--reluctant",
@@ -426,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--rules", required=True, help="rules file produced by mine")
     t.add_argument(
         "--mode",
-        choices=("label", "onehot"),
+        choices=[mode.value for mode in FeatureMode],
         required=True,
         help="label: encoded originals + all rule indicators; onehot: one-hot originals + pair indicators",
     )
@@ -442,10 +445,13 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--n", type=int, help="rows per trial (default 10000 freq, 1000 s1/s2)")
     b.add_argument("--p", type=int, help="feature count (default 10 freq, 99 s1/s2)")
     b.add_argument("--d-freq", type=int, help="itemset capacity (default 5 freq, 45 s1/s2)")
-    b.add_argument("--d-conf", type=int, help="rule count (default 5)")
+    b.add_argument("--d-conf", type=int, help="rule count, s1/s2 only (default 5)")
     b.add_argument("--no-eval", action="store_true", help="skip the logistic evaluation")
     b.add_argument("--out", required=True, help="output CSV of per-trial metrics")
-    b.add_argument("--recovery", help="optional CSV of rule recovery counts")
+    b.add_argument(
+        "--recovery",
+        help="CSV of rule recovery counts; required with --variant freq or --no-eval",
+    )
     b.set_defaults(func=cmd_bench)
     return parser
 

@@ -1,4 +1,4 @@
-"""Tabular dataset model: schema, CSV loading, and one-hot encoding.
+"""Tabular dataset model: schema and CSV loading.
 
 A dataset is a dense table of p feature columns plus one label column.
 Categorical cells are stored as integer category ids; the id of a category
@@ -315,50 +315,26 @@ def write_csv(ds: Dataset, path: str) -> None:
         writer.writerows(zip(*cols))
 
 
-def one_hot(ds: Dataset) -> tuple[np.ndarray, list[str]]:
-    """Expand every categorical feature into indicator columns.
-
-    Returns (matrix, names) where names follow the "column=category"
-    convention in schema order. Raises ContinuousPresentError when a
-    continuous column is present.
-    """
-    ds.schema.require_categorical("one-hot encoding")
-    blocks: list[np.ndarray] = []
-    names: list[str] = []
-    for j, spec in enumerate(ds.schema.features):
-        k = len(spec.categories)
-        block = np.zeros((ds.n, k), dtype=np.uint8)
-        block[np.arange(ds.n), ds.columns[j]] = 1
-        blocks.append(block)
-        names.extend("%s=%s" % (spec.name, cat) for cat in spec.categories)
-    if not blocks:
-        return np.empty((ds.n, 0), dtype=np.uint8), names
-    return np.concatenate(blocks, axis=1), names
-
-
 def binary_dataset(
     matrix: np.ndarray,
     labels: np.ndarray,
-    feature_names: "list[str] | None" = None,
     class_names: "tuple[str, ...] | None" = None,
-    label_name: str = "Y",
 ) -> Dataset:
     """Wrap a 0/1 integer matrix as a categorical Dataset.
 
-    Every feature gets the two categories ("0", "1") with ids equal to the
-    cell values, even if one value never occurs; this keeps constant columns
-    representable. Used by the synthetic generators.
+    Features are named X1..Xp and the label Y. Every feature gets the two
+    categories ("0", "1") with ids equal to the cell values, even if one
+    value never occurs; this keeps constant columns representable. Used by
+    the synthetic generators.
     """
     matrix = np.asarray(matrix, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     n, p = matrix.shape
-    if feature_names is None:
-        feature_names = ["X%d" % (j + 1) for j in range(p)]
     if class_names is None:
         class_names = tuple(str(c) for c in range(int(labels.max()) + 1 if n else 1))
     feats = tuple(
-        Column(name, ColumnKind.CATEGORICAL, ("0", "1")) for name in feature_names
+        Column("X%d" % (j + 1), ColumnKind.CATEGORICAL, ("0", "1")) for j in range(p)
     )
-    schema = Schema(feats, label_name, class_names)
+    schema = Schema(feats, "Y", class_names)
     cols = tuple(np.ascontiguousarray(matrix[:, j]) for j in range(p))
     return Dataset(schema, cols, labels)

@@ -4,18 +4,17 @@ Each distinct antecedent becomes one indicator column: 1 when the row
 matches every item. Two assembly modes exist: appending all indicators to
 the label-encoded (category id) base matrix, or appending only interaction
 indicators to a one-hot base, where single-item indicators would duplicate
-existing columns.
+existing columns. transform is the one place a feature matrix is built.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, one_hot
+from .data import Dataset
 from .errors import SchemaMismatchError, UsageError
 from .mining import Antecedent
 
@@ -23,34 +22,6 @@ from .mining import Antecedent
 class FeatureMode(enum.Enum):
     APPEND_TO_LABEL_ENCODED = "label"
     APPEND_INTERACTIONS_TO_ONE_HOT = "onehot"
-
-
-@dataclass(frozen=True)
-class FeatureSpec:
-    """An ordered, duplicate-free list of antecedents plus the assembly mode."""
-
-    antecedents: tuple[Antecedent, ...]
-    mode: FeatureMode
-
-
-def generate_features(rules, mode: FeatureMode) -> FeatureSpec:
-    """Collect rule antecedents in rule order, collapsing duplicates.
-
-    Rules for different classes sharing an antecedent yield one feature. In
-    one-hot mode single-item antecedents are dropped here, because the base
-    encoding already contains exactly those columns.
-    """
-    seen: set[Antecedent] = set()
-    ordered: list[Antecedent] = []
-    for rule in rules:
-        ant = rule.antecedent
-        if mode is FeatureMode.APPEND_INTERACTIONS_TO_ONE_HOT and len(ant) == 1:
-            continue
-        if ant in seen:
-            continue
-        seen.add(ant)
-        ordered.append(ant)
-    return FeatureSpec(tuple(ordered), mode)
 
 
 def _validate_antecedent(ant: Antecedent, ds: Dataset) -> None:
@@ -68,7 +39,7 @@ def _indicator(ant: Antecedent, ds: Dataset) -> np.ndarray:
     mask = np.ones(ds.n, dtype=bool)
     for f, c in ant:
         mask &= ds.columns[f] == c
-    return mask.astype(np.float64)
+    return mask
 
 
 def antecedent_name(ant: Antecedent, schema) -> str:
@@ -78,28 +49,40 @@ def antecedent_name(ant: Antecedent, schema) -> str:
     )
 
 
-def transform(ds: Dataset, spec: FeatureSpec) -> tuple[np.ndarray, list[str]]:
-    """Assemble the design matrix for the given spec.
+def transform(ds: Dataset, antecedents, mode: FeatureMode) -> tuple[np.ndarray, list[str]]:
+    """Assemble the float64 design matrix for antecedents given in rule order.
 
-    Returns (matrix, column names). The dataset must be fully categorical;
-    unknown columns or categories in the spec raise SchemaMismatchError.
+    A repeated antecedent keeps its first position, so rules of different
+    classes sharing an antecedent give one column. Label mode appends each
+    antecedent's indicator to the category ids. One-hot mode starts from the
+    indicator of every single item in schema order ("column=category") and
+    appends only the two-item antecedents, whose single items it already
+    holds. Returns (matrix, column names). The dataset must be fully
+    categorical; an antecedent naming a column or category the schema lacks
+    raises SchemaMismatchError.
     """
     ds.schema.require_categorical("transform")
-    for ant in spec.antecedents:
+    extra = list(dict.fromkeys(antecedents))
+    for ant in extra:
         _validate_antecedent(ant, ds)
 
-    if spec.mode is FeatureMode.APPEND_TO_LABEL_ENCODED:
-        base = np.column_stack([c.astype(np.float64) for c in ds.columns]) if ds.p else np.empty((ds.n, 0))
-        base_names = [c.name for c in ds.schema.features]
-        extra = spec.antecedents
+    if mode is FeatureMode.APPEND_TO_LABEL_ENCODED:
+        base = ds.columns
+        names = ds.schema.feature_names()
     else:
-        base, base_names = one_hot(ds)
-        base = base.astype(np.float64)
-        extra = tuple(ant for ant in spec.antecedents if len(ant) == 2)
+        base = ()
+        names = []
+        items = [
+            ((f, c),) for f, col in enumerate(ds.schema.features) for c in range(len(col.categories))
+        ]
+        extra = items + [ant for ant in extra if len(ant) == 2]
 
-    blocks = [base] + [_indicator(ant, ds).reshape(-1, 1) for ant in extra]
-    names = base_names + [antecedent_name(ant, ds.schema) for ant in extra]
-    return np.concatenate(blocks, axis=1) if blocks else base, names
+    matrix = np.empty((ds.n, len(base) + len(extra)))
+    for j, col in enumerate(base):
+        matrix[:, j] = col
+    for j, ant in enumerate(extra, len(base)):
+        matrix[:, j] = _indicator(ant, ds)
+    return matrix, names + [antecedent_name(ant, ds.schema) for ant in extra]
 
 
 def suggest_params(p: int, num_classes: int) -> tuple[int, int]:

@@ -71,20 +71,16 @@ def confidence(support: int, antecedent_support: int) -> float:
 
 
 def relative_confidence(
-    support: int,
-    antecedent_support: int,
-    class_support: int,
-    n: int,
-    epsilon: float = 1e-12,
+    support: int, antecedent_support: int, class_support: int, n: int
 ) -> float:
     """Posterior odds of the class given the antecedent over its prior odds.
 
-    Computed from supports as s/(s_x - s + eps) * (n - s_y)/(s_y + eps);
-    the epsilon guards the pure-rule case where the antecedent always
-    implies the class.
+    Computed from supports as s/(s_x - s + eps) * (n - s_y)/(s_y + eps)
+    with eps = 1e-12, which guards the pure-rule case where the antecedent
+    always implies the class.
     """
-    return (support / (antecedent_support - support + epsilon)) * (
-        (n - class_support) / (class_support + epsilon)
+    return (support / (antecedent_support - support + 1e-12)) * (
+        (n - class_support) / (class_support + 1e-12)
     )
 
 
@@ -223,14 +219,6 @@ def rules_to_jsonl(rules, schema: Schema) -> str:
     return "\n".join(json.dumps(rule_to_dict(r, schema)) for r in rules)
 
 
-@dataclass(frozen=True)
-class ParsedRule:
-    """Antecedent and class of a serialized rule, resolved against a schema."""
-
-    antecedent: Antecedent
-    class_id: int
-
-
 def _rule_fields(line: str, lineno: int) -> tuple[list, object]:
     """The (feature, category) pairs and the class of one rules line."""
     try:
@@ -245,8 +233,8 @@ def _rule_fields(line: str, lineno: int) -> tuple[list, object]:
         raise MalformedRulesError("rules line %d is not a rule object" % lineno) from None
 
 
-def parse_rules_jsonl(text: str, schema: Schema) -> list[ParsedRule]:
-    """Resolve every rule of a JSON lines text against the schema.
+def parse_rules_jsonl(text: str, schema: Schema) -> list[tuple[Antecedent, int]]:
+    """Resolve every rule of a JSON lines text to its (antecedent, class id).
 
     A line that is not a rule object raises MalformedRulesError naming its
     line number; a feature, category or class the schema lacks raises
@@ -272,10 +260,5 @@ def parse_rules_jsonl(text: str, schema: Schema) -> list[ParsedRule]:
             items.append((j, cats.index(category)))
         if cls not in schema.classes:
             raise SchemaMismatchError("unknown class %r" % cls)
-        out.append(
-            ParsedRule(
-                antecedent=canonical_antecedent(items),
-                class_id=schema.classes.index(cls),
-            )
-        )
+        out.append((canonical_antecedent(items), schema.classes.index(cls)))
     return out

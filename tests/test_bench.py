@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from araf.bench import (
     LogisticModel,
     SynthConfig,
-    _label_matrix,
     _power_iteration_sq,
     brute_force_topk,
     evaluate,
@@ -27,7 +26,7 @@ from araf.bench import (
 )
 from araf.data import Dataset, binary_dataset
 from araf.errors import NonFiniteError, SingleClassError, TooLargeError, UsageError
-from araf.features import FeatureMode, generate_features, transform
+from araf.features import FeatureMode, transform
 from araf.mining import MiningConfig
 
 
@@ -261,15 +260,15 @@ class TestLogregExactness:
         train_ds = Dataset(
             ds.schema, tuple(col[train_idx] for col in ds.columns), ds.labels[train_idx]
         )
-        spec = generate_features(
-            mine_method(train_ds, "conf", 45, 5), FeatureMode.APPEND_TO_LABEL_ENCODED
+        rules = mine_method(train_ds, "conf", 45, 5)
+        matrix, _ = transform(
+            ds, [r.antecedent for r in rules], FeatureMode.APPEND_TO_LABEL_ENCODED
         )
-        matrix, _ = transform(ds, spec)
         assert matrix[train_idx].shape == (700, 104)
         assert_same_as_reference(
             matrix[train_idx], ds.labels[train_idx], 3, matrix[test_idx], ds.labels[test_idx]
         )
-        base = _label_matrix(ds)
+        base, _ = transform(ds, [], FeatureMode.APPEND_TO_LABEL_ENCODED)
         assert_same_as_reference(
             base[train_idx], ds.labels[train_idx], 3, base[test_idx], ds.labels[test_idx]
         )

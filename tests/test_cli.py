@@ -45,7 +45,10 @@ def categorical_csv(tmp_path):
 def every_command(tmp_path, mixed_csv, categorical_csv):
     """A complete argument list for each subcommand, run in this order, and its output."""
     rules = str(tmp_path / "rules.jsonl")
-    outs = {name: str(tmp_path / name) for name in ("binned.csv", "features.csv", "metrics.csv")}
+    outs = {
+        name: str(tmp_path / name)
+        for name in ("binned.csv", "features.csv", "metrics.csv", "recovery.csv")
+    }
     return [
         (["discretize", "--input", mixed_csv, "--label", "y", "--k", "3",
           "--out-data", outs["binned.csv"]], outs["binned.csv"]),
@@ -53,7 +56,7 @@ def every_command(tmp_path, mixed_csv, categorical_csv):
         (["transform", "--input", categorical_csv, "--label", "y", "--rules", rules,
           "--mode", "label", "--out", outs["features.csv"]], outs["features.csv"]),
         (["bench", "--variant", "s1", "--trials", "1", "--n", "200", "--no-eval",
-          "--out", outs["metrics.csv"]], outs["metrics.csv"]),
+          "--out", outs["metrics.csv"], "--recovery", outs["recovery.csv"]], outs["metrics.csv"]),
     ]
 
 
@@ -396,13 +399,13 @@ class TestBench:
             ("freq", "--n", "n must be >= 1"),
             ("freq", "--p", "freq benchmark needs p >= 3"),
             ("freq", "--d-freq", "d_freq must be >= 1"),
-            ("freq", "--d-conf", "d_conf must satisfy"),
+            ("freq", "--d-conf", "does not apply to --variant freq"),
         ],
     )
     def test_zero_flag_is_not_replaced_by_the_default(self, variant, flag, message, tmp_path, capsys):
         out = tmp_path / "metrics.csv"
         argv = ["bench", "--variant", variant, "--trials", "1", "--no-eval", flag, "0",
-                "--out", str(out)]
+                "--out", str(out), "--recovery", str(tmp_path / "recovery.csv")]
         if flag != "--n":
             argv += ["--n", "60"]
         assert main(argv) == 2
@@ -412,7 +415,10 @@ class TestBench:
 
     def test_manifest_records_the_s1_defaults(self, tmp_path):
         out = str(tmp_path / "metrics.csv")
-        assert main(["bench", "--variant", "s1", "--trials", "1", "--no-eval", "--out", out]) == 0
+        rec = str(tmp_path / "recovery.csv")
+        argv = ["bench", "--variant", "s1", "--trials", "1", "--no-eval", "--out", out,
+                "--recovery", rec]
+        assert main(argv) == 0
         params = read_manifest(out)["params"]
         assert (params["n"], params["p"], params["d_freq"], params["d_conf"]) == (1000, 99, 45, 5)
 
@@ -422,18 +428,49 @@ class TestBench:
         real = bench.run_freq_trial
         ran = []
 
-        def spy(ds, n_prime, seed, d_freq, d_conf):
-            ran.append((ds.n, ds.p, d_freq, d_conf))
-            return real(ds, n_prime, seed, d_freq, d_conf)
+        def spy(ds, n_prime, seed, d_freq):
+            ran.append((ds.n, ds.p, d_freq))
+            return real(ds, n_prime, seed, d_freq)
 
         monkeypatch.setattr(bench, "run_freq_trial", spy)
         out = str(tmp_path / "metrics.csv")
         argv = ["bench", "--variant", "freq", "--trials", "1", "--n", "500", "--d-freq", "6",
-                "--d-conf", "2", "--out", out]
+                "--out", out, "--recovery", str(tmp_path / "recovery.csv")]
         assert main(argv) == 0
         params = read_manifest(out)["params"]
-        assert set(ran) == {(params["n"], params["p"], params["d_freq"], params["d_conf"])}
-        assert set(ran) == {(500, 10, 6, 2)}
+        assert set(ran) == {(params["n"], params["p"], params["d_freq"])}
+        assert set(ran) == {(500, 10, 6)}
+        # a freq trial selects no rules, so the manifest records no d_conf
+        assert "d_conf" not in params
+
+    def test_freq_runs_with_a_capacity_below_the_default_rule_count(self, tmp_path):
+        # d_freq 3 is below the s1/s2 rule count default of 5, which freq never reads
+        out = str(tmp_path / "metrics.csv")
+        rec = tmp_path / "recovery.csv"
+        argv = ["bench", "--variant", "freq", "--trials", "1", "--n", "500", "--d-freq", "3",
+                "--out", out, "--recovery", str(rec)]
+        assert main(argv) == 0
+        assert len(rec.read_text().splitlines()) == 1 + 4
+
+    def test_d_conf_is_refused_for_freq(self, tmp_path, capsys):
+        argv = ["bench", "--variant", "freq", "--trials", "1", "--n", "500", "--d-conf", "1",
+                "--out", str(tmp_path / "metrics.csv"), "--recovery", str(tmp_path / "rec.csv")]
+        assert main(argv) == 2
+        assert "--d-conf does not apply to --variant freq" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--variant", "freq"], ["--variant", "s1", "--no-eval"]],
+        ids=["freq", "no-eval"],
+    )
+    def test_run_without_results_is_refused(self, flags, tmp_path, capsys):
+        # these runs write no metrics rows; without --recovery every result would be lost
+        out = tmp_path / "metrics.csv"
+        argv = ["bench", *flags, "--trials", "1", "--n", "500", "--out", str(out)]
+        assert main(argv) == 2
+        assert "need --recovery" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
 
 class TestAtomicOutputs:
@@ -515,6 +552,8 @@ class TestAtomicOutputs:
         for argv, out in every_command(tmp_path, mixed_csv, categorical_csv):
             assert main(argv) == 0
             written |= {os.path.basename(out), os.path.basename(out) + ".manifest.json"}
+            if "--recovery" in argv:
+                written.add(os.path.basename(argv[argv.index("--recovery") + 1]))
         assert set(os.listdir(tmp_path)) == before | written
 
 

@@ -14,7 +14,6 @@ from araf.data import (
     Schema,
     binary_dataset,
     load_csv,
-    one_hot,
     write_csv,
 )
 from araf.errors import (
@@ -27,7 +26,7 @@ from araf.errors import (
     UnknownLabelColumnError,
     UsageError,
 )
-from araf.features import FeatureMode, FeatureSpec, transform
+from araf.features import FeatureMode, transform
 from araf.mining import MiningConfig, count_singletons, mine_frequent, mine_with_thresholds
 
 
@@ -215,6 +214,10 @@ class TestDatasetInvariants:
         assert ds.decode_cell(1, 0) == "blue"
 
 
+def one_hot(ds):
+    return transform(ds, [], FeatureMode.APPEND_INTERACTIONS_TO_ONE_HOT)
+
+
 class TestOneHot:
     def test_columns_and_names(self):
         ds = binary_dataset(
@@ -239,11 +242,10 @@ class TestOneHot:
         ("mining", lambda ds: mine_frequent(ds, MiningConfig(4, 2))),
         ("mining", lambda ds: mine_with_thresholds(ds, 0.5)),
         ("taking the categorical matrix", Dataset.categorical_matrix),
-        ("transform", lambda ds: transform(ds, FeatureSpec((), FeatureMode.APPEND_TO_LABEL_ENCODED))),
-        ("one-hot encoding", one_hot),
+        ("transform", lambda ds: transform(ds, [], FeatureMode.APPEND_TO_LABEL_ENCODED)),
     ],
     ids=["count_singletons", "mine_frequent", "mine_with_thresholds", "categorical_matrix",
-         "transform", "one_hot"],
+         "transform"],
 )
 def test_continuous_column_is_named_with_the_operation(operation, call, tmp_path):
     ds = load_csv(write(tmp_path, BASIC), "y")  # b is continuous
