@@ -25,7 +25,7 @@ from .discretize import (
     fit_discretizer,
     info_gain,
 )
-from .errors import ArafError, DataError, InternalError, UsageError
+from .errors import ArafError, DataError, UsageError
 from .features import (
     FeatureMode,
     suggest_params,
@@ -60,7 +60,6 @@ __all__ = [
     "Dataset",
     "DiscretizationMap",
     "FeatureMode",
-    "InternalError",
     "MiningConfig",
     "MiningResult",
     "Rule",

@@ -34,20 +34,6 @@ from .sampling import estimate_frequencies
 # -- generators -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SynthConfig:
-    variant: str  # "freq" | "s1" | "s2"
-    n: int
-    seed: int = 0
-    p: "int | None" = None
-
-    def __post_init__(self) -> None:
-        if self.variant not in ("freq", "s1", "s2"):
-            raise UsageError("unknown synthetic variant %r" % self.variant)
-        if self.n < 1:
-            raise UsageError("n must be >= 1")
-
-
 def gen_freq_bench(n: int, seed: int = 0, p: int = 10) -> Dataset:
     """Binary features with planted frequencies, constant label.
 
@@ -117,14 +103,19 @@ def gen_s2(n: int, seed: int = 0, p: int = 99) -> Dataset:
     return binary_dataset(x, y, class_names=("0", "1", "2"))
 
 
-def generate(config: SynthConfig) -> Dataset:
-    """The variant's dataset; p=None takes the default width (10 freq, 99 s1/s2)."""
-    if config.variant == "freq":
-        return gen_freq_bench(config.n, config.seed, 10 if config.p is None else config.p)
-    p = 99 if config.p is None else config.p
-    if config.variant == "s1":
-        return gen_s1(config.n, config.seed, p)
-    return gen_s2(config.n, config.seed, p)
+def generate(variant: str, n: int, seed: int = 0, p: "int | None" = None) -> Dataset:
+    """The dataset of variant "freq", "s1" or "s2"; p=None takes its generator's default width."""
+    if variant == "freq":
+        gen = gen_freq_bench
+    elif variant == "s1":
+        gen = gen_s1
+    elif variant == "s2":
+        gen = gen_s2
+    else:
+        raise UsageError("unknown synthetic variant %r" % variant)
+    if n < 1:
+        raise UsageError("n must be >= 1")
+    return gen(n, seed) if p is None else gen(n, seed, p)
 
 
 # -- exhaustive reference miner ---------------------------------------------------
@@ -499,7 +490,7 @@ def run_synth_trial(
     the 70 percent training split, features built from those, and the
     logistic model scored on the held-out 30 percent.
     """
-    ds = generate(SynthConfig(variant, n, seed, p))
+    ds = generate(variant, n, seed, p)
     rules = {m: mine_method(ds, m, d_freq, d_conf) for m in METHODS if m != "origin"}
 
     metrics: dict = {}

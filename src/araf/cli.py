@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .data import ColumnKind, Dataset, load_csv, open_csv, open_output, open_text, write_csv
 from .discretize import apply_dataset, fit_dataset, maps_to_json
-from .errors import ArafError, ConflictingFlagsError, DataError, InternalError, UsageError
+from .errors import ArafError, DataError, UsageError
 from .features import FeatureMode, suggest_params, transform
 from .mining import (
     MiningConfig,
@@ -141,7 +141,7 @@ def cmd_mine(args) -> int:
         or args.subsample is not None
     )
     if threshold_mode and fixed_flags:
-        raise ConflictingFlagsError(
+        raise UsageError(
             "threshold mining (--minsupp/--minconf) cannot be combined with "
             "fixed-size options (--d-freq/--d-conf/--scoring/--per-class/"
             "--reluctant/--subsample)"
@@ -162,7 +162,7 @@ def cmd_mine(args) -> int:
         per_class = args.per_class
         if args.reluctant:
             if scoring_name is not None and scoring_name != "rconf":
-                raise ConflictingFlagsError("--reluctant requires rconf scoring")
+                raise UsageError("--reluctant requires rconf scoring")
             scoring_name = "rconf"
             per_class = True
         if scoring_name is None:
@@ -171,7 +171,7 @@ def cmd_mine(args) -> int:
         if d_freq is None or d_conf is None:
             sf, sc = suggest_params(ds.p, ds.num_classes)
             d_freq = sf if d_freq is None else d_freq
-            d_conf = sc if d_conf is None else d_conf
+            d_conf = min(sc, d_freq) if d_conf is None else d_conf
         config = MiningConfig(
             d_freq=d_freq,
             d_conf=d_conf,
@@ -284,11 +284,11 @@ def _bench_sizes(args) -> dict:
 
 
 def _bench_freq(args, sizes: dict) -> list[list]:
-    from .bench import SynthConfig, generate, run_freq_trial  # imported on use: only bench needs it
+    from .bench import generate, run_freq_trial  # imported on use: only bench needs it
 
     grid = [100, 500, 1000, 5000]
     recovery_rows = []
-    ds = generate(SynthConfig("freq", sizes["n"], args.seed, sizes["p"]))
+    ds = generate("freq", sizes["n"], args.seed, sizes["p"])
     for n_prime in grid:
         hits = 0
         err_sum = 0.0
@@ -331,19 +331,25 @@ def _bench_synth(args, sizes: dict, writer) -> list[list]:
 def cmd_bench(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
-    if args.recovery is None and (args.variant == "freq" or args.no_eval):
-        # such a run writes no metrics, so its results would go nowhere
-        raise UsageError("--variant freq and --no-eval need --recovery, where their results go")
+    evaluated = args.variant != "freq" and not args.no_eval
+    if args.recovery is not None and not evaluated:
+        # such a run has no metrics rows, so --out holds its recovery table
+        raise UsageError("--recovery does not apply to --variant freq or --no-eval, "
+                         "which write their recovery table to --out")
     sizes = _bench_sizes(args)
     with open_output(args.out) as f:
         writer = csv.writer(f)
-        writer.writerow(["variant", "method", "seed", "logloss", "accuracy"])
+        if evaluated:
+            writer.writerow(["variant", "method", "seed", "logloss", "accuracy"])
         if args.variant == "freq":
             recovery = _bench_freq(args, sizes)
             header = ["variant", "n_prime", "all_recovered", "trials", "mean_abs_err"]
         else:
             recovery = _bench_synth(args, sizes, writer)
             header = ["variant", "method", "rule", "recovered", "trials"]
+        if not evaluated:
+            writer.writerow(header)
+            writer.writerows(recovery)
     if args.recovery:
         with open_output(args.recovery) as f:
             writer = csv.writer(f)
@@ -403,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("mine", help="mine class association rules to JSON lines")
     add_common_io(m)
     m.add_argument("--d-freq", type=int, help="frequent itemset capacity (default 5*classes*sqrt(p))")
-    m.add_argument("--d-conf", type=int, help="rule count (default 5*sqrt(p))")
+    m.add_argument("--d-conf", type=int, help="rule count (default 5*sqrt(p), at most d_freq)")
     m.add_argument(
         "--scoring",
         choices=sorted(scoring.value for scoring in Scoring),
@@ -447,10 +453,14 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--d-freq", type=int, help="itemset capacity (default 5 freq, 45 s1/s2)")
     b.add_argument("--d-conf", type=int, help="rule count, s1/s2 only (default 5)")
     b.add_argument("--no-eval", action="store_true", help="skip the logistic evaluation")
-    b.add_argument("--out", required=True, help="output CSV of per-trial metrics")
+    b.add_argument(
+        "--out",
+        required=True,
+        help="output CSV of per-trial metrics; with --variant freq or --no-eval, the recovery table",
+    )
     b.add_argument(
         "--recovery",
-        help="CSV of rule recovery counts; required with --variant freq or --no-eval",
+        help="CSV of rule recovery counts of an evaluated s1/s2 run",
     )
     b.set_defaults(func=cmd_bench)
     return parser
@@ -460,6 +470,9 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # NumPy's generators refuse negative seeds; mine and bench take --seed
+        if getattr(args, "seed", 0) < 0:
+            raise UsageError("--seed must be >= 0")
         return args.func(args)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
@@ -467,9 +480,6 @@ def main(argv: "list[str] | None" = None) -> int:
     except DataError as exc:
         print("data error: %s" % exc, file=sys.stderr)
         return 3
-    except InternalError as exc:
-        print("internal error: %s" % exc, file=sys.stderr)
-        return 4
     except ArafError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 4

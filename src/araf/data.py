@@ -137,23 +137,13 @@ class Dataset:
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.num_classes).astype(np.int64)
 
-    def decode_cell(self, row: int, j: int) -> str:
-        spec = self.schema.features[j]
-        if spec.kind is ColumnKind.CATEGORICAL:
-            return spec.categories[int(self.columns[j][row])]
-        return repr(float(self.columns[j][row]))
 
-    def values_equal(self, other: "Dataset") -> bool:
-        """Compare decoded cell values and labels, ignoring id assignment."""
-        if self.n != other.n or self.p != other.p:
-            return False
-        for i in range(self.n):
-            if self.schema.classes[self.labels[i]] != other.schema.classes[other.labels[i]]:
-                return False
-            for j in range(self.p):
-                if self.decode_cell(i, j) != other.decode_cell(i, j):
-                    return False
-        return True
+def rows_matching(ds: Dataset, items) -> np.ndarray:
+    """Boolean mask of the rows whose cells hold every (feature, category id) item."""
+    mask = np.ones(ds.n, dtype=bool)
+    for f, c in items:
+        mask &= ds.columns[f] == c
+    return mask
 
 
 def _parse_reals(cells) -> "np.ndarray | None":
@@ -170,15 +160,6 @@ def _encode(cells) -> tuple[np.ndarray, tuple[str, ...]]:
     ids: dict[str, int] = {}
     codes = [ids.setdefault(c, len(ids)) for c in cells]
     return np.array(codes, dtype=np.int64), tuple(ids)
-
-
-def _normalize_kind(value: "ColumnKind | str") -> ColumnKind:
-    if isinstance(value, ColumnKind):
-        return value
-    try:
-        return ColumnKind(value.lower())
-    except ValueError:
-        raise UsageError("unknown column kind %r" % (value,)) from None
 
 
 @contextmanager
@@ -229,12 +210,13 @@ def open_csv(path: str):
 def load_csv(
     path: str,
     label_column: str,
-    declared_kinds: "dict[str, ColumnKind | str] | None" = None,
+    declared_kinds: "dict[str, ColumnKind] | None" = None,
 ) -> Dataset:
     """Load a CSV file with a header row into a Dataset.
 
     label_column names the class column; every other column becomes a
-    feature. declared_kinds overrides kind inference per column name.
+    feature. declared_kinds maps column names to the ColumnKind that
+    overrides inference for them.
     Raises UnknownLabelColumnError, RaggedRowError, EmptyDatasetError,
     MissingValueError, MixedColumnError, or DataError (bytes that are not
     UTF-8) on malformed input.
@@ -264,12 +246,12 @@ def load_csv(
         if "" in row:
             raise MissingValueError("row %d has an empty cell" % (i + 2))
 
-    declared = {}
-    if declared_kinds:
-        for name, kind in declared_kinds.items():
-            if name not in header:
-                raise UsageError("declared kind for unknown column %r" % name)
-            declared[name] = _normalize_kind(kind)
+    declared = declared_kinds or {}
+    for name, kind in declared.items():
+        if name not in header:
+            raise UsageError("declared kind for unknown column %r" % name)
+        if not isinstance(kind, ColumnKind):
+            raise UsageError("unknown column kind %r" % (kind,))
 
     columns: list[np.ndarray] = []
     specs: list[Column] = []

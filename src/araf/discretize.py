@@ -23,7 +23,6 @@ from .data import Column, ColumnKind, Dataset, Schema
 from .errors import (
     AllZeroError,
     DataError,
-    EmptyInputError,
     InsufficientRowsError,
     UsageError,
 )
@@ -86,7 +85,7 @@ def info_gain(labels, partition, num_classes: "int | None" = None) -> float:
     labels = np.asarray(labels, dtype=np.int64)
     partition = np.asarray(partition, dtype=np.int64)
     if labels.size == 0:
-        raise EmptyInputError("info gain needs at least one row")
+        raise DataError("info gain needs at least one row")
     if labels.shape != partition.shape:
         raise DataError("labels and partition lengths differ")
     if num_classes is None:

@@ -19,10 +19,6 @@ class UsageError(ArafError):
     """The caller combined parameters in an unsupported way (CLI exit code 2)."""
 
 
-class InternalError(ArafError):
-    """An internal invariant was violated (CLI exit code 4)."""
-
-
 # -- loading ---------------------------------------------------------------
 
 class RaggedRowError(DataError):
@@ -55,18 +51,10 @@ class SchemaMismatchError(DataError):
     """A feature spec or rule file references columns or categories the schema lacks."""
 
 
-class MalformedRulesError(DataError):
-    """A rules file line is not valid JSON or lacks a field of a rule."""
-
-
 # -- discretization ----------------------------------------------------------
 
 class AllZeroError(DataError):
     """Entropy is undefined for an all-zero count vector."""
-
-
-class EmptyInputError(DataError):
-    """An operation received no rows."""
 
 
 class InsufficientRowsError(DataError):
@@ -95,9 +83,3 @@ class NonFiniteError(DataError):
 
 class SingleClassError(DataError):
     """Classifier training needs at least two distinct labels."""
-
-
-# -- CLI ----------------------------------------------------------------------
-
-class ConflictingFlagsError(UsageError):
-    """Mutually exclusive CLI flags were combined."""

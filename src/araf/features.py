@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, rows_matching
 from .errors import SchemaMismatchError, UsageError
 from .mining import Antecedent
 
@@ -33,13 +33,6 @@ def _validate_antecedent(ant: Antecedent, ds: Dataset) -> None:
             raise SchemaMismatchError(
                 "antecedent references category %d of column %r" % (c, col.name)
             )
-
-
-def _indicator(ant: Antecedent, ds: Dataset) -> np.ndarray:
-    mask = np.ones(ds.n, dtype=bool)
-    for f, c in ant:
-        mask &= ds.columns[f] == c
-    return mask
 
 
 def antecedent_name(ant: Antecedent, schema) -> str:
@@ -81,7 +74,7 @@ def transform(ds: Dataset, antecedents, mode: FeatureMode) -> tuple[np.ndarray, 
     for j, col in enumerate(base):
         matrix[:, j] = col
     for j, ant in enumerate(extra, len(base)):
-        matrix[:, j] = _indicator(ant, ds)
+        matrix[:, j] = rows_matching(ds, ant)
     return matrix, names + [antecedent_name(ant, ds.schema) for ant in extra]
 
 

@@ -20,7 +20,7 @@ from heapq import nsmallest
 
 from .data import Schema
 from .errors import (
-    MalformedRulesError,
+    DataError,
     SchemaMismatchError,
     UsageError,
     ZeroAntecedentError,
@@ -226,17 +226,17 @@ def _rule_fields(line: str, lineno: int) -> tuple[list, object]:
         pairs = [(entry["feature"], entry["category"]) for entry in raw["antecedent"]]
         return pairs, raw["class"]
     except json.JSONDecodeError as exc:
-        raise MalformedRulesError("rules line %d is not valid JSON: %s" % (lineno, exc)) from None
+        raise DataError("rules line %d is not valid JSON: %s" % (lineno, exc)) from None
     except KeyError as exc:
-        raise MalformedRulesError("rules line %d has no field %s" % (lineno, exc)) from None
+        raise DataError("rules line %d has no field %s" % (lineno, exc)) from None
     except TypeError:
-        raise MalformedRulesError("rules line %d is not a rule object" % lineno) from None
+        raise DataError("rules line %d is not a rule object" % lineno) from None
 
 
 def parse_rules_jsonl(text: str, schema: Schema) -> list[tuple[Antecedent, int]]:
     """Resolve every rule of a JSON lines text to its (antecedent, class id).
 
-    A line that is not a rule object raises MalformedRulesError naming its
+    A line that is not a rule object raises DataError naming its
     line number; a feature, category or class the schema lacks raises
     SchemaMismatchError.
     """

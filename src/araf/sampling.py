@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, rows_matching
 from .errors import UsageError
 
 
@@ -51,8 +51,5 @@ def estimate_frequencies(
     sub = subsample(ds, n_prime, seed)
     out = {}
     for ant in antecedents:
-        mask = np.ones(sub.n, dtype=bool)
-        for f, c in ant:
-            mask &= sub.columns[f] == c
-        out[ant] = float(mask.sum()) / sub.n
+        out[ant] = float(rows_matching(sub, ant).sum()) / sub.n
     return out

@@ -20,7 +20,6 @@ from araf.bench import (
     run_synth_trial,
     s1_ground_truth,
     rule_keys,
-    SynthConfig,
 )
 from araf.data import Column, ColumnKind, Dataset, Schema
 from araf.features import suggest_params
@@ -154,7 +153,7 @@ def test_criterion_3_s2_redundancy_exclusion():
     violations = 0
     echo_rules = 0
     for t in range(TRIALS):
-        ds = generate(SynthConfig("s2", n=1000, seed=BASE_SEED + t))
+        ds = generate("s2", n=1000, seed=BASE_SEED + t)
         result = mine_frequent(ds, config)
         rules = select_rules_reluctant(result, config)
         pool_scores = {
@@ -191,7 +190,7 @@ def test_criterion_4_unbalanced_scoring_contrast():
     split_pool_class2 = 0
     split_top5_class2 = 0
     for t in range(TRIALS):
-        ds = generate(SynthConfig("s1", n=1000, seed=BASE_SEED + t))
+        ds = generate("s1", n=1000, seed=BASE_SEED + t)
         flat_rules = select_rules(mine_frequent(ds, flat_config), flat_config)
         if flat_rules and all(r.class_id == 0 for r in flat_rules):
             flat_all_class0 += 1

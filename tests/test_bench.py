@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from araf.bench import (
     LogisticModel,
-    SynthConfig,
     _power_iteration_sq,
     brute_force_topk,
     evaluate,
@@ -28,6 +27,7 @@ from araf.data import Dataset, binary_dataset
 from araf.errors import NonFiniteError, SingleClassError, TooLargeError, UsageError
 from araf.features import FeatureMode, transform
 from araf.mining import MiningConfig
+from reference import values_equal
 
 
 class TestGenerators:
@@ -61,8 +61,8 @@ class TestGenerators:
         assert disagree <= 50
 
     def test_s1_seed_determinism(self):
-        assert gen_s1(200, seed=9).values_equal(gen_s1(200, seed=9))
-        assert not gen_s1(200, seed=9).values_equal(gen_s1(200, seed=10))
+        assert values_equal(gen_s1(200, seed=9), gen_s1(200, seed=9))
+        assert not values_equal(gen_s1(200, seed=9), gen_s1(200, seed=10))
 
     def test_s2_constant_columns(self):
         ds = gen_s2(400, seed=3)
@@ -91,10 +91,13 @@ class TestGenerators:
         assert (ds.labels == 0).all()
 
     def test_config_validation(self):
-        with pytest.raises(UsageError):
-            SynthConfig("nope", 100)
-        ds = generate(SynthConfig("s1", 100, seed=1))
-        assert ds.n == 100
+        with pytest.raises(UsageError, match="^unknown synthetic variant 'nope'$"):
+            generate("nope", 100)
+        with pytest.raises(UsageError, match="^n must be >= 1$"):
+            generate("s1", 0)
+        ds = generate("s1", 100, seed=1)
+        assert (ds.n, ds.p) == (100, 99)
+        assert generate("freq", 100).p == 10
 
     def test_ground_truth_lists(self):
         assert len(s1_ground_truth()) == 5
@@ -315,4 +318,4 @@ class TestTrialHarness:
 
     def test_zero_width_is_not_replaced_by_the_default(self):
         with pytest.raises(UsageError, match="p >= 3"):
-            generate(SynthConfig("s1", 100, seed=1, p=0))
+            generate("s1", 100, seed=1, p=0)

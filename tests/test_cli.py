@@ -47,7 +47,7 @@ def every_command(tmp_path, mixed_csv, categorical_csv):
     rules = str(tmp_path / "rules.jsonl")
     outs = {
         name: str(tmp_path / name)
-        for name in ("binned.csv", "features.csv", "metrics.csv", "recovery.csv")
+        for name in ("binned.csv", "features.csv", "recovery.csv")
     }
     return [
         (["discretize", "--input", mixed_csv, "--label", "y", "--k", "3",
@@ -56,7 +56,7 @@ def every_command(tmp_path, mixed_csv, categorical_csv):
         (["transform", "--input", categorical_csv, "--label", "y", "--rules", rules,
           "--mode", "label", "--out", outs["features.csv"]], outs["features.csv"]),
         (["bench", "--variant", "s1", "--trials", "1", "--n", "200", "--no-eval",
-          "--out", outs["metrics.csv"], "--recovery", outs["recovery.csv"]], outs["metrics.csv"]),
+          "--out", outs["recovery.csv"]], outs["recovery.csv"]),
     ]
 
 
@@ -176,7 +176,7 @@ class TestMine:
         for line in open(out).read().splitlines():
             assert json.loads(line)["confidence"] >= 0.6 - 1e-9
 
-    def test_threshold_and_fixed_size_conflict(self, categorical_csv, tmp_path):
+    def test_threshold_and_fixed_size_conflict(self, categorical_csv, tmp_path, capsys):
         rc = main(
             [
                 "mine", "--input", categorical_csv, "--label", "y",
@@ -185,6 +185,10 @@ class TestMine:
             ]
         )
         assert rc == 2
+        assert capsys.readouterr().err == (
+            "usage error: threshold mining (--minsupp/--minconf) cannot be combined with "
+            "fixed-size options (--d-freq/--d-conf/--scoring/--per-class/--reluctant/--subsample)\n"
+        )
 
     def test_minconf_out_of_range(self, categorical_csv, tmp_path, capsys):
         out = tmp_path / "r.jsonl"
@@ -208,7 +212,7 @@ class TestMine:
         )
         assert rc == 2
 
-    def test_reluctant_rejects_other_scoring(self, categorical_csv, tmp_path):
+    def test_reluctant_rejects_other_scoring(self, categorical_csv, tmp_path, capsys):
         rc = main(
             [
                 "mine", "--input", categorical_csv, "--label", "y",
@@ -217,6 +221,16 @@ class TestMine:
             ]
         )
         assert rc == 2
+        assert capsys.readouterr().err == "usage error: --reluctant requires rconf scoring\n"
+
+    def test_default_rule_count_stays_within_a_given_capacity(self, categorical_csv, tmp_path):
+        # p=3 gives a default rule count of 5*isqrt(3) = 5, above --d-freq 3
+        out = str(tmp_path / "rules.jsonl")
+        rc = main(["mine", "--input", categorical_csv, "--label", "y", "--d-freq", "3",
+                   "--out-rules", out])
+        assert rc == 0
+        params = read_manifest(out)["params"]
+        assert (params["d_freq"], params["d_conf"]) == (3, 3)
 
     def test_subsample_recorded(self, categorical_csv, tmp_path):
         out = str(tmp_path / "rules.jsonl")
@@ -302,7 +316,7 @@ class TestTransform:
     @pytest.mark.parametrize(
         "corrupt, message",
         [
-            (lambda line: line[: len(line) // 2], "line 2 is not valid JSON"),
+            (lambda line: line[: len(line) // 2], "line 2 is not valid JSON: "),
             (lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "antecedent"}),
              "line 2 has no field 'antecedent'"),
             (lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "class"}),
@@ -325,7 +339,13 @@ class TestTransform:
             ]
         )
         assert rc == 3
-        assert message in capsys.readouterr().err
+        expected = "data error: rules " + message
+        if message.endswith(": "):
+            try:
+                json.loads(lines[1].strip())
+            except json.JSONDecodeError as exc:
+                expected += str(exc)
+        assert capsys.readouterr().err == expected + "\n"
 
     def test_non_utf8_rules_file_is_a_data_error(self, categorical_csv, tmp_path, capsys):
         rules = tmp_path / "rules.jsonl"
@@ -345,35 +365,32 @@ class TestTransform:
 
 class TestBench:
     def test_synth_smoke(self, tmp_path):
-        out = str(tmp_path / "metrics.csv")
-        rec = str(tmp_path / "recovery.csv")
+        # a --no-eval run has no metrics rows; its recovery table goes to --out
+        out = str(tmp_path / "recovery.csv")
         rc = main(
             [
                 "bench", "--variant", "s1", "--trials", "1", "--seed", "0",
-                "--n", "400", "--no-eval", "--out", out, "--recovery", rec,
+                "--n", "400", "--no-eval", "--out", out,
             ]
         )
         assert rc == 0
         with open(out) as f:
-            rows = list(csv.reader(f))
-        assert rows[0] == ["variant", "method", "seed", "logloss", "accuracy"]
-        with open(rec) as f:
             rrows = list(csv.reader(f))
         assert rrows[0] == ["variant", "method", "rule", "recovered", "trials"]
         # 3 mining methods x 5 ground-truth rules
         assert len(rrows) == 1 + 15
+        assert sorted(os.listdir(tmp_path)) == ["recovery.csv", "recovery.csv.manifest.json"]
 
     def test_freq_smoke(self, tmp_path):
-        out = str(tmp_path / "metrics.csv")
-        rec = str(tmp_path / "recovery.csv")
+        out = str(tmp_path / "recovery.csv")
         rc = main(
             [
                 "bench", "--variant", "freq", "--trials", "2", "--n", "2000",
-                "--out", out, "--recovery", rec,
+                "--out", out,
             ]
         )
         assert rc == 0
-        with open(rec) as f:
+        with open(out) as f:
             rows = list(csv.reader(f))
         assert rows[0] == ["variant", "n_prime", "all_recovered", "trials", "mean_abs_err"]
         assert [r[1] for r in rows[1:]] == ["100", "500", "1000", "5000"]
@@ -405,7 +422,7 @@ class TestBench:
     def test_zero_flag_is_not_replaced_by_the_default(self, variant, flag, message, tmp_path, capsys):
         out = tmp_path / "metrics.csv"
         argv = ["bench", "--variant", variant, "--trials", "1", "--no-eval", flag, "0",
-                "--out", str(out), "--recovery", str(tmp_path / "recovery.csv")]
+                "--out", str(out)]
         if flag != "--n":
             argv += ["--n", "60"]
         assert main(argv) == 2
@@ -414,10 +431,8 @@ class TestBench:
 
 
     def test_manifest_records_the_s1_defaults(self, tmp_path):
-        out = str(tmp_path / "metrics.csv")
-        rec = str(tmp_path / "recovery.csv")
-        argv = ["bench", "--variant", "s1", "--trials", "1", "--no-eval", "--out", out,
-                "--recovery", rec]
+        out = str(tmp_path / "recovery.csv")
+        argv = ["bench", "--variant", "s1", "--trials", "1", "--no-eval", "--out", out]
         assert main(argv) == 0
         params = read_manifest(out)["params"]
         assert (params["n"], params["p"], params["d_freq"], params["d_conf"]) == (1000, 99, 45, 5)
@@ -433,9 +448,9 @@ class TestBench:
             return real(ds, n_prime, seed, d_freq)
 
         monkeypatch.setattr(bench, "run_freq_trial", spy)
-        out = str(tmp_path / "metrics.csv")
+        out = str(tmp_path / "recovery.csv")
         argv = ["bench", "--variant", "freq", "--trials", "1", "--n", "500", "--d-freq", "6",
-                "--out", out, "--recovery", str(tmp_path / "recovery.csv")]
+                "--out", out]
         assert main(argv) == 0
         params = read_manifest(out)["params"]
         assert set(ran) == {(params["n"], params["p"], params["d_freq"])}
@@ -445,16 +460,15 @@ class TestBench:
 
     def test_freq_runs_with_a_capacity_below_the_default_rule_count(self, tmp_path):
         # d_freq 3 is below the s1/s2 rule count default of 5, which freq never reads
-        out = str(tmp_path / "metrics.csv")
-        rec = tmp_path / "recovery.csv"
+        out = tmp_path / "recovery.csv"
         argv = ["bench", "--variant", "freq", "--trials", "1", "--n", "500", "--d-freq", "3",
-                "--out", out, "--recovery", str(rec)]
+                "--out", str(out)]
         assert main(argv) == 0
-        assert len(rec.read_text().splitlines()) == 1 + 4
+        assert len(out.read_text().splitlines()) == 1 + 4
 
     def test_d_conf_is_refused_for_freq(self, tmp_path, capsys):
         argv = ["bench", "--variant", "freq", "--trials", "1", "--n", "500", "--d-conf", "1",
-                "--out", str(tmp_path / "metrics.csv"), "--recovery", str(tmp_path / "rec.csv")]
+                "--out", str(tmp_path / "recovery.csv")]
         assert main(argv) == 2
         assert "--d-conf does not apply to --variant freq" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
@@ -464,13 +478,33 @@ class TestBench:
         [["--variant", "freq"], ["--variant", "s1", "--no-eval"]],
         ids=["freq", "no-eval"],
     )
-    def test_run_without_results_is_refused(self, flags, tmp_path, capsys):
-        # these runs write no metrics rows; without --recovery every result would be lost
-        out = tmp_path / "metrics.csv"
-        argv = ["bench", *flags, "--trials", "1", "--n", "500", "--out", str(out)]
+    def test_recovery_is_refused_without_metrics(self, flags, tmp_path, capsys, monkeypatch):
+        # these runs write no metrics rows, so --out holds their recovery table
+        from araf import bench
+
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(bench, "run_freq_trial", no_trial)
+        monkeypatch.setattr(bench, "run_synth_trial", no_trial)
+        argv = ["bench", *flags, "--trials", "1", "--n", "500", "--out", str(tmp_path / "out.csv"),
+                "--recovery", str(tmp_path / "recovery.csv")]
         assert main(argv) == 2
-        assert "need --recovery" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "usage error: --recovery does not apply to --variant freq or --no-eval, "
+            "which write their recovery table to --out\n"
+        )
         assert os.listdir(tmp_path) == []
+
+    def test_evaluated_run_writes_metrics_and_recovery_apart(self, tmp_path):
+        out, rec = tmp_path / "metrics.csv", tmp_path / "recovery.csv"
+        argv = ["bench", "--variant", "s1", "--trials", "1", "--n", "200", "--p", "5",
+                "--out", str(out), "--recovery", str(rec)]
+        assert main(argv) == 0
+        metrics = out.read_text().splitlines()
+        assert metrics[0] == "variant,method,seed,logloss,accuracy"
+        assert [line.split(",")[1] for line in metrics[1:]] == ["origin", "conf", "rconf", "reluctant"]
+        assert rec.read_text().splitlines()[0] == "variant,method,rule,recovered,trials"
 
 
 class TestAtomicOutputs:
@@ -597,6 +631,37 @@ class TestErrors:
             argv += ["--rules", str(rules), "--mode", "label"]
         assert main(argv) == 2
         assert "--k must be >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mine", "--label", "y", "--subsample", "5", "--out-rules"],
+            ["bench", "--variant", "s1", "--trials", "1", "--n", "60", "--out"],
+            ["bench", "--variant", "freq", "--trials", "1", "--n", "60", "--out"],
+        ],
+        ids=["mine", "bench-s1", "bench-freq"],
+    )
+    def test_negative_seed_is_a_usage_error(self, argv, categorical_csv, tmp_path, capsys):
+        if argv[0] == "mine":
+            argv = argv[:1] + ["--input", categorical_csv] + argv[1:]
+        before = sorted(os.listdir(tmp_path))
+        assert main(argv + [str(tmp_path / "out"), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "usage error: --seed must be >= 0\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_info_gain_on_zero_rows_is_a_data_error(self, mixed_csv, tmp_path, capsys, monkeypatch):
+        from araf.discretize import info_gain
+
+        def fit_on_no_rows(ds, k, l):
+            return info_gain([], [])
+
+        monkeypatch.setattr(cli, "fit_dataset", fit_on_no_rows)
+        out = tmp_path / "binned.csv"
+        rc = main(["discretize", "--input", mixed_csv, "--label", "y", "--k", "3",
+                   "--out-data", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == "data error: info gain needs at least one row\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [[], ["--assume-categorical"]], ids=["load", "header-read"])
     def test_non_utf8_csv_is_a_data_error(self, flags, tmp_path, capsys):

@@ -28,6 +28,7 @@ from araf.errors import (
 )
 from araf.features import FeatureMode, transform
 from araf.mining import MiningConfig, count_singletons, mine_frequent, mine_with_thresholds
+from reference import decode_cell, values_equal
 
 
 def write(tmp_path, text, name="d.csv"):
@@ -61,17 +62,21 @@ class TestLoadCsv:
 
     def test_declared_kind_overrides_inference(self, tmp_path):
         text = "a,y\n1,x\n2,x\n1,z\n"
-        ds = load_csv(write(tmp_path, text), "y", {"a": "categorical"})
+        ds = load_csv(write(tmp_path, text), "y", {"a": ColumnKind.CATEGORICAL})
         assert ds.schema.features[0].kind is ColumnKind.CATEGORICAL
         assert ds.schema.features[0].categories == ("1", "2")
 
     def test_declared_continuous_on_text_fails(self, tmp_path):
         with pytest.raises(MixedColumnError):
-            load_csv(write(tmp_path, "a,y\nfoo,x\n"), "y", {"a": "continuous"})
+            load_csv(write(tmp_path, "a,y\nfoo,x\n"), "y", {"a": ColumnKind.CONTINUOUS})
 
     def test_declared_unknown_column_fails(self, tmp_path):
         with pytest.raises(UsageError):
-            load_csv(write(tmp_path, BASIC), "y", {"nope": "categorical"})
+            load_csv(write(tmp_path, BASIC), "y", {"nope": ColumnKind.CATEGORICAL})
+
+    def test_declared_kind_must_be_a_column_kind(self, tmp_path):
+        with pytest.raises(UsageError, match="^unknown column kind 'continuous'$"):
+            load_csv(write(tmp_path, BASIC), "y", {"b": "continuous"})
 
     def test_unknown_label(self, tmp_path):
         with pytest.raises(UnknownLabelColumnError):
@@ -114,7 +119,7 @@ class TestLoadCsv:
             assert ds.schema.features[0].kind is ColumnKind.CATEGORICAL
             assert ds.schema.features[0].categories == ("2.5", cell)
             with pytest.raises(MixedColumnError, match="cell %r" % cell):
-                load_csv(path, "y", {"a": "continuous"})
+                load_csv(path, "y", {"a": ColumnKind.CONTINUOUS})
         else:
             assert ds.schema.features[0].kind is ColumnKind.CONTINUOUS
             assert list(ds.columns[0]) == [2.5, value]
@@ -122,7 +127,7 @@ class TestLoadCsv:
     def test_declared_continuous_names_first_bad_cell(self, tmp_path):
         path = write(tmp_path, "a,y\n1,x\ninf,x\nfoo,x\n")
         with pytest.raises(MixedColumnError, match="cell 'inf'"):
-            load_csv(path, "y", {"a": "continuous"})
+            load_csv(path, "y", {"a": ColumnKind.CONTINUOUS})
 
     def test_first_bad_row_is_reported(self, tmp_path):
         with pytest.raises(MissingValueError, match="row 3"):
@@ -137,7 +142,7 @@ class TestRoundTrip:
         out = str(tmp_path / "out.csv")
         write_csv(ds, out)
         ds2 = load_csv(out, "y")
-        assert ds.values_equal(ds2)
+        assert values_equal(ds, ds2)
         assert ds2.schema.feature_names() == ds.schema.feature_names()
 
 
@@ -147,7 +152,7 @@ def reference_write_csv(ds, path):
         writer = csv.writer(fh)
         writer.writerow([c.name for c in ds.schema.features] + [ds.schema.label_name])
         for i in range(ds.n):
-            row = [ds.decode_cell(i, j) for j in range(ds.p)]
+            row = [decode_cell(ds, i, j) for j in range(ds.p)]
             writer.writerow(row + [ds.schema.classes[ds.labels[i]]])
 
 
@@ -182,7 +187,7 @@ class TestRoundTripProperty:
         first = (tmp / "a.csv").read_bytes()
         assert first == (tmp / "ref.csv").read_bytes()
         assert first == (tmp / "b.csv").read_bytes()
-        assert again.values_equal(ds)
+        assert values_equal(again, ds)
         assert again.schema == ds.schema
 
 
@@ -211,7 +216,7 @@ class TestDatasetInvariants:
 
     def test_decode_cell(self, tmp_path):
         ds = load_csv(write(tmp_path, BASIC), "y")
-        assert ds.decode_cell(1, 0) == "blue"
+        assert decode_cell(ds, 1, 0) == "blue"
 
 
 def one_hot(ds):

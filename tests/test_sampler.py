@@ -7,6 +7,7 @@ from araf.bench import gen_freq_bench
 from araf.data import binary_dataset
 from araf.errors import UsageError
 from araf.sampling import estimate_frequencies, required_sample_size, subsample
+from reference import values_equal
 
 
 class TestRequiredSampleSize:
@@ -44,13 +45,13 @@ class TestSubsample:
         a = subsample(ds, 50, seed=3)
         b = subsample(ds, 50, seed=3)
         assert a.n == 50
-        assert a.values_equal(b)
+        assert values_equal(a, b)
 
     def test_different_seed_differs(self):
         ds = self.ds()
         a = subsample(ds, 50, seed=3)
         b = subsample(ds, 50, seed=4)
-        assert not a.values_equal(b)
+        assert not values_equal(a, b)
 
     def test_single_row_draw(self):
         ds = self.ds()
