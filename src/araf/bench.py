@@ -20,12 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, binary_dataset
-from .errors import (
-    NonFiniteError,
-    SingleClassError,
-    TooLargeError,
-    UsageError,
-)
+from .errors import DataError, UsageError
 from .features import FeatureMode, transform
 from .mining import ClassItemset, MiningConfig, Scoring, mine_frequent
 from .rules import Rule, select_rules, select_rules_reluctant
@@ -196,10 +191,10 @@ def brute_force_topk(ds: Dataset, config: MiningConfig) -> OracleResult:
     Enumerates all one- and two-item class itemsets with exact counts,
     applies the same total order and capacities by sorting full lists, and
     scores rules straight from its own count dictionaries. Guarded to small
-    inputs; raises TooLargeError beyond n=2000 or p=20.
+    inputs; raises UsageError beyond n=2000 or p=20.
     """
     if ds.n > _MAX_ORACLE_N or ds.p > _MAX_ORACLE_P:
-        raise TooLargeError(
+        raise UsageError(
             "reference miner is limited to n <= %d, p <= %d" % (_MAX_ORACLE_N, _MAX_ORACLE_P)
         )
     if config.subsample is not None:
@@ -351,9 +346,9 @@ def train_logreg(
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if not np.isfinite(x).all():
-        raise NonFiniteError("design matrix contains non-finite values")
+        raise DataError("design matrix contains non-finite values")
     if np.unique(y).size < 2:
-        raise SingleClassError("training labels contain a single class")
+        raise DataError("training labels contain a single class")
     n, d = x.shape
     lam = penalty / n
     onehot = np.zeros((n, num_classes))
@@ -410,7 +405,7 @@ def evaluate(model: LogisticModel, x: np.ndarray, y: np.ndarray) -> tuple[float,
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if not np.isfinite(x).all():
-        raise NonFiniteError("design matrix contains non-finite values")
+        raise DataError("design matrix contains non-finite values")
     probs = _softmax(x @ model.weights + model.bias)
     picked = np.clip(probs[np.arange(len(y)), y], 1e-300, None)
     logloss = float(-np.log(picked).mean())

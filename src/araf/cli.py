@@ -5,7 +5,8 @@ Four subcommands: discretize (entropy binning of continuous columns), mine
 and bench (synthetic benchmark runs). Every run that writes an output file
 also writes <output>.manifest.json recording the resolved parameters, seed,
 and sha256 of each input, so results can be tied back to what produced them.
-Each file is moved into place only once it is complete (data.open_output).
+Each file is moved into place only once it is complete (data.open_output),
+and a command opens all its output files before it moves the first into place.
 
 Exit codes: 0 success, 2 bad usage, 3 bad input data, 4 internal failure.
 """
@@ -17,6 +18,7 @@ import csv
 import hashlib
 import json
 import sys
+from contextlib import nullcontext
 from datetime import datetime, timezone
 
 import numpy as np
@@ -106,10 +108,11 @@ def _binned(ds: Dataset, args) -> tuple[Dataset, list]:
 
 def cmd_discretize(args) -> int:
     mapped, maps = _binned(_load(args), args)
-    write_csv(mapped, args.out_data)
-    if args.out_map:
-        with open_output(args.out_map) as f:
-            f.write(maps_to_json(maps))
+    # the map is opened first: a map path that cannot be written leaves the data unwritten too
+    with open_output(args.out_map) if args.out_map else nullcontext() as map_f:
+        if map_f:
+            map_f.write(maps_to_json(maps))
+        write_csv(mapped, args.out_data)
     write_manifest(
         args.out_data,
         "discretize",
@@ -337,7 +340,9 @@ def cmd_bench(args) -> int:
         raise UsageError("--recovery does not apply to --variant freq or --no-eval, "
                          "which write their recovery table to --out")
     sizes = _bench_sizes(args)
-    with open_output(args.out) as f:
+    # open both files before any trial runs; neither is moved into place until both are written
+    recovery_out = open_output(args.recovery) if args.recovery else nullcontext()
+    with open_output(args.out) as f, recovery_out as recovery_f:
         writer = csv.writer(f)
         if evaluated:
             writer.writerow(["variant", "method", "seed", "logloss", "accuracy"])
@@ -347,14 +352,9 @@ def cmd_bench(args) -> int:
         else:
             recovery = _bench_synth(args, sizes, writer)
             header = ["variant", "method", "rule", "recovered", "trials"]
-        if not evaluated:
-            writer.writerow(header)
-            writer.writerows(recovery)
-    if args.recovery:
-        with open_output(args.recovery) as f:
-            writer = csv.writer(f)
-            writer.writerow(header)
-            writer.writerows(recovery)
+        table_f = recovery_f if evaluated else f
+        if table_f:
+            csv.writer(table_f).writerows([header, *recovery])
     write_manifest(
         args.out,
         "bench",

@@ -22,16 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ContinuousPresentError,
-    DataError,
-    EmptyDatasetError,
-    MissingValueError,
-    MixedColumnError,
-    RaggedRowError,
-    UnknownLabelColumnError,
-    UsageError,
-)
+from .errors import DataError, UsageError
 
 
 class ColumnKind(enum.Enum):
@@ -78,10 +69,10 @@ class Schema:
         return [col.name for col in self.features]
 
     def require_categorical(self, operation: str) -> None:
-        """Raise ContinuousPresentError naming the first continuous column and operation."""
+        """Raise DataError naming the first continuous column and operation."""
         for col in self.features:
             if col.kind is ColumnKind.CONTINUOUS:
-                raise ContinuousPresentError(
+                raise DataError(
                     "column %r is continuous; discretize before %s" % (col.name, operation)
                 )
 
@@ -126,7 +117,7 @@ class Dataset:
     def categorical_matrix(self) -> np.ndarray:
         """Return the n x p matrix of category ids.
 
-        Raises ContinuousPresentError when any feature is continuous; callers
+        Raises DataError when any feature is continuous; callers
         that need this view should discretize first.
         """
         self.schema.require_categorical("taking the categorical matrix")
@@ -179,6 +170,7 @@ def open_output(path: str):
     The text goes to a temporary file in path's directory, and os.replace
     moves it onto path when the block ends. If the block raises, the
     temporary file is removed and whatever was at path is left unchanged.
+    A missing directory raises DataError naming path before anything is written.
     Newlines are written as given. A path that names something other than
     a regular file, such as a pipe or /dev/stdout, is written directly.
     """
@@ -188,6 +180,8 @@ def open_output(path: str):
         return
     target = os.path.realpath(path)  # through a symlink, replace the file it names
     head, tail = os.path.split(target)
+    if not os.path.isdir(head):
+        raise DataError("cannot write %r: its directory does not exist" % path)
     tmp = os.path.join(head, ".%s.%s.tmp" % (tail, os.urandom(4).hex()))
     # O_EXCL with mode 0o666 gives the file the mode open(path, "w") would
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -216,35 +210,34 @@ def load_csv(
 
     label_column names the class column; every other column becomes a
     feature. declared_kinds maps column names to the ColumnKind that
-    overrides inference for them.
-    Raises UnknownLabelColumnError, RaggedRowError, EmptyDatasetError,
-    MissingValueError, MixedColumnError, or DataError (bytes that are not
-    UTF-8) on malformed input.
+    overrides inference for them. Raises DataError on malformed input:
+    a missing label column, no rows, a ragged row, an empty cell, a
+    non-number in a column declared continuous, or bytes that are not UTF-8.
     """
     with open_csv(path) as reader:
         try:
             header = next(reader)
         except StopIteration:
-            raise EmptyDatasetError("file %r has no header row" % path) from None
+            raise DataError("file %r has no header row" % path) from None
         rows = list(reader)
 
     if len(set(header)) != len(header):
         raise DataError("duplicate column names in header")
     if label_column not in header:
-        raise UnknownLabelColumnError(
+        raise DataError(
             "label column %r not in header %r" % (label_column, header)
         )
     if not rows:
-        raise EmptyDatasetError("file %r has a header but no data rows" % path)
+        raise DataError("file %r has a header but no data rows" % path)
 
     width = len(header)
     for i, row in enumerate(rows):
         if len(row) != width:
-            raise RaggedRowError(
+            raise DataError(
                 "row %d has %d cells, header has %d" % (i + 2, len(row), width)
             )
         if "" in row:
-            raise MissingValueError("row %d has an empty cell" % (i + 2))
+            raise DataError("row %d has an empty cell" % (i + 2))
 
     declared = declared_kinds or {}
     for name, kind in declared.items():
@@ -265,7 +258,7 @@ def load_csv(
         reals = None if kind is ColumnKind.CATEGORICAL else _parse_reals(cells)
         if kind is ColumnKind.CONTINUOUS and reals is None:
             bad = next(c for c in cells if _parse_reals((c,)) is None)
-            raise MixedColumnError(
+            raise DataError(
                 "column %r declared continuous but cell %r is not a number" % (name, bad)
             )
         if reals is not None:

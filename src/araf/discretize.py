@@ -20,12 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Column, ColumnKind, Dataset, Schema
-from .errors import (
-    AllZeroError,
-    DataError,
-    InsufficientRowsError,
-    UsageError,
-)
+from .errors import DataError, UsageError
 
 
 @dataclass(frozen=True)
@@ -55,11 +50,11 @@ def entropy(class_counts) -> float:
     """Shannon entropy in bits of a count vector.
 
     Zero counts contribute nothing; an all-zero vector is undefined and
-    raises AllZeroError.
+    raises DataError.
     """
     counts = np.asarray(class_counts, dtype=np.float64)
     if counts.size == 0 or counts.sum() == 0:
-        raise AllZeroError("entropy of an empty distribution is undefined")
+        raise DataError("entropy of an empty distribution is undefined")
     if (counts < 0).any():
         raise DataError("negative counts")
     return _entropy_bits(counts)
@@ -129,7 +124,7 @@ def fit_discretizer(values, labels, k: int, l: int = 10, column: str = "") -> Di
     if l < 1:
         raise UsageError("quantile count l must be >= 1")
     if values.size < k:
-        raise InsufficientRowsError(
+        raise DataError(
             "need at least %d rows for %d intervals, have %d" % (k, k, values.size)
         )
     if not np.isfinite(values).all():

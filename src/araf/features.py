@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .data import Dataset, rows_matching
-from .errors import SchemaMismatchError, UsageError
+from .errors import DataError, UsageError
 from .mining import Antecedent
 
 
@@ -27,10 +27,10 @@ class FeatureMode(enum.Enum):
 def _validate_antecedent(ant: Antecedent, ds: Dataset) -> None:
     for f, c in ant:
         if not 0 <= f < ds.p:
-            raise SchemaMismatchError("antecedent references feature index %d" % f)
+            raise DataError("antecedent references feature index %d" % f)
         col = ds.schema.features[f]
         if not 0 <= c < len(col.categories):
-            raise SchemaMismatchError(
+            raise DataError(
                 "antecedent references category %d of column %r" % (c, col.name)
             )
 
@@ -52,7 +52,7 @@ def transform(ds: Dataset, antecedents, mode: FeatureMode) -> tuple[np.ndarray, 
     appends only the two-item antecedents, whose single items it already
     holds. Returns (matrix, column names). The dataset must be fully
     categorical; an antecedent naming a column or category the schema lacks
-    raises SchemaMismatchError.
+    raises DataError.
     """
     ds.schema.require_categorical("transform")
     extra = list(dict.fromkeys(antecedents))

@@ -19,13 +19,7 @@ from dataclasses import dataclass
 from heapq import nsmallest
 
 from .data import Schema
-from .errors import (
-    DataError,
-    SchemaMismatchError,
-    UsageError,
-    ZeroAntecedentError,
-    ZeroClassError,
-)
+from .errors import DataError, UsageError
 from .mining import (
     Antecedent,
     ClassItemset,
@@ -66,7 +60,7 @@ class Rule:
 def confidence(support: int, antecedent_support: int) -> float:
     """Fraction of antecedent occurrences that carry the rule's class."""
     if antecedent_support == 0:
-        raise ZeroAntecedentError("confidence undefined: antecedent never occurs")
+        raise DataError("confidence undefined: antecedent never occurs")
     return support / antecedent_support
 
 
@@ -87,7 +81,7 @@ def relative_confidence(
 def lift(conf: float, class_support: int, n: int) -> float:
     """Confidence over the class prior."""
     if class_support == 0:
-        raise ZeroClassError("lift undefined: class never occurs")
+        raise DataError("lift undefined: class never occurs")
     return conf / (class_support / n)
 
 
@@ -236,9 +230,8 @@ def _rule_fields(line: str, lineno: int) -> tuple[list, object]:
 def parse_rules_jsonl(text: str, schema: Schema) -> list[tuple[Antecedent, int]]:
     """Resolve every rule of a JSON lines text to its (antecedent, class id).
 
-    A line that is not a rule object raises DataError naming its
-    line number; a feature, category or class the schema lacks raises
-    SchemaMismatchError.
+    A line that is not a rule object, or that names a feature, category
+    or class the schema lacks, raises DataError.
     """
     out = []
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -251,14 +244,14 @@ def parse_rules_jsonl(text: str, schema: Schema) -> list[tuple[Antecedent, int]]
             try:
                 j = schema.feature_index(feature)
             except KeyError:
-                raise SchemaMismatchError("unknown feature %r" % feature) from None
+                raise DataError("unknown feature %r" % feature) from None
             cats = schema.features[j].categories
             if category not in cats:
-                raise SchemaMismatchError(
+                raise DataError(
                     "unknown category %r for feature %r" % (category, feature)
                 )
             items.append((j, cats.index(category)))
         if cls not in schema.classes:
-            raise SchemaMismatchError("unknown class %r" % cls)
+            raise DataError("unknown class %r" % cls)
         out.append((canonical_antecedent(items), schema.classes.index(cls)))
     return out

@@ -580,6 +580,43 @@ class TestAtomicOutputs:
         assert manifest.read_bytes() == earlier
         assert os.listdir(tmp_path) == ["out.csv.manifest.json"]
 
+    def test_missing_directory_is_named_as_given(self, categorical_csv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        before = sorted(os.listdir(tmp_path))
+        rc = main(["mine", "--input", categorical_csv, "--label", "y", "--out-rules", "nodir/r.jsonl"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "data error: cannot write 'nodir/r.jsonl': its directory does not exist\n"
+        )
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_discretize_writes_nothing_when_the_map_cannot_be_written(self, mixed_csv, tmp_path, capsys):
+        before = sorted(os.listdir(tmp_path))
+        out_map = str(tmp_path / "nodir" / "map.json")
+        rc = main(["discretize", "--input", mixed_csv, "--label", "y", "--k", "3",
+                   "--out-data", str(tmp_path / "binned.csv"), "--out-map", out_map])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "data error: cannot write %r: its directory does not exist\n" % out_map
+        )
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_bench_runs_no_trial_when_the_recovery_cannot_be_written(self, tmp_path, monkeypatch, capsys):
+        from araf import bench
+
+        trials = []
+        real = bench.run_synth_trial
+        monkeypatch.setattr(bench, "run_synth_trial", lambda *a, **k: trials.append(a) or real(*a, **k))
+        before = sorted(os.listdir(tmp_path))
+        recovery = str(tmp_path / "nodir" / "r.csv")
+        rc = main(["bench", "--variant", "s1", "--trials", "3", "--n", "300", "--p", "10",
+                   "--out", str(tmp_path / "m.csv"), "--recovery", recovery])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "data error: cannot write %r: its directory does not exist\n" % recovery
+        )
+        assert trials == [] and sorted(os.listdir(tmp_path)) == before
+
     def test_no_temporary_file_is_left(self, mixed_csv, categorical_csv, tmp_path):
         before = set(os.listdir(tmp_path))
         written = set()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from araf.bench import gen_s1
 from araf.data import Column, ColumnKind, Dataset, Schema, binary_dataset, load_csv
-from araf.errors import ContinuousPresentError, SchemaMismatchError, UsageError
+from araf.errors import DataError, UsageError
 from araf.features import FeatureMode, antecedent_name, suggest_params, transform
 from araf.mining import MiningConfig, Scoring, mine_frequent
 from araf.rules import select_rules, select_rules_reluctant
@@ -186,27 +186,31 @@ class TestTransform:
 
     def test_unknown_feature_rejected(self):
         ds = binary_dataset(np.zeros((3, 2), dtype=int), np.zeros(3, dtype=int))
-        with pytest.raises(SchemaMismatchError):
+        with pytest.raises(DataError, match="^antecedent references feature index 5$"):
             transform(ds, [((5, 0),)], LABEL)
 
     def test_unknown_category_rejected(self):
         ds = binary_dataset(np.zeros((3, 2), dtype=int), np.zeros(3, dtype=int))
-        with pytest.raises(SchemaMismatchError):
+        with pytest.raises(DataError, match="^antecedent references category 7 of column 'X1'$"):
             transform(ds, [((0, 7),)], LABEL)
 
-    @pytest.mark.parametrize("item", [(5, 0), (0, 7)], ids=["feature", "category"])
-    def test_onehot_mode_checks_single_items_too(self, item):
+    @pytest.mark.parametrize(
+        "item, message",
+        [((5, 0), "feature index 5"), ((0, 7), "category 7 of column 'X1'")],
+        ids=["feature", "category"],
+    )
+    def test_onehot_mode_checks_single_items_too(self, item, message):
         # one-hot mode needs no column for a single item, but an item the
         # schema lacks still means the rules belong to another schema
         ds = binary_dataset(np.zeros((3, 2), dtype=int), np.zeros(3, dtype=int))
-        with pytest.raises(SchemaMismatchError):
+        with pytest.raises(DataError, match="^antecedent references %s$" % message):
             transform(ds, [(item,)], ONE_HOT)
 
     def test_continuous_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,y\n0.5,u\n0.7,v\n")
         ds = load_csv(str(path), "y")
-        with pytest.raises(ContinuousPresentError):
+        with pytest.raises(DataError, match="^column 'a' is continuous; discretize before transform$"):
             transform(ds, [], LABEL)
 
     @settings(max_examples=300, deadline=None)

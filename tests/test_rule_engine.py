@@ -7,7 +7,7 @@ import pytest
 
 from araf.bench import brute_force_topk
 from araf.data import binary_dataset
-from araf.errors import UsageError, ZeroAntecedentError, ZeroClassError
+from araf.errors import DataError, UsageError
 from araf.mining import (
     MiningConfig,
     MiningResult,
@@ -36,7 +36,7 @@ class TestConfidence:
         assert confidence(4, 6) == pytest.approx(2 / 3)
 
     def test_zero_antecedent_rejected(self):
-        with pytest.raises(ZeroAntecedentError):
+        with pytest.raises(DataError, match="^confidence undefined: antecedent never occurs$"):
             confidence(0, 0)
 
 
@@ -68,7 +68,7 @@ class TestLift:
         assert lift(0.5, 5, 10) == pytest.approx(1.0)
 
     def test_zero_class_rejected(self):
-        with pytest.raises(ZeroClassError):
+        with pytest.raises(DataError, match="^lift undefined: class never occurs$"):
             lift(0.5, 0, 10)
 
 

@@ -38,3 +38,20 @@ def test_every_error_class_is_raised():
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
     assert [name for name in classes if name != "ArafError" and name not in raised] == []
+
+
+def test_every_error_class_is_caught_by_cli_main():
+    # cli.main maps each class to its own exit code; a class it does not
+    # name would split the taxonomy between errors.py and the raise sites
+    modules = parsed_modules()
+    classes = [node.name for node in modules["errors.py"].body if isinstance(node, ast.ClassDef)]
+    main = next(node for node in modules["cli.py"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = {
+        name.id
+        for handler in ast.walk(main)
+        if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+        for name in ast.walk(handler.type)
+        if isinstance(name, ast.Name)
+    }
+    assert [name for name in classes if name not in caught] == []
