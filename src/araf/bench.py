@@ -29,7 +29,7 @@ from .sampling import estimate_frequencies
 # -- generators -----------------------------------------------------------------
 
 
-def gen_freq_bench(n: int, seed: int = 0, p: int = 10) -> Dataset:
+def gen_freq_bench(n: int, seed: int, p: int) -> Dataset:
     """Binary features with planted frequencies, constant label.
 
     P(X1=1)=0.9; X2 agrees with a 75/90 conditional on X1 so that
@@ -72,7 +72,7 @@ def _s_labels(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return y
 
 
-def gen_s1(n: int, seed: int = 0, p: int = 99) -> Dataset:
+def gen_s1(n: int, seed: int, p: int) -> Dataset:
     """Three classes: X1=0 forces class 0; otherwise X2*X3 separates 2 from 1.
 
     X1 is Bernoulli(0.3), all other columns fair coins; afterwards a
@@ -86,7 +86,7 @@ def gen_s1(n: int, seed: int = 0, p: int = 99) -> Dataset:
     return binary_dataset(x, y, class_names=("0", "1", "2"))
 
 
-def gen_s2(n: int, seed: int = 0, p: int = 99) -> Dataset:
+def gen_s2(n: int, seed: int, p: int) -> Dataset:
     """s1 with the last two columns constant 1, creating redundant rules."""
     if p < 5:
         raise UsageError("s2 needs p >= 5")
@@ -98,8 +98,19 @@ def gen_s2(n: int, seed: int = 0, p: int = 99) -> Dataset:
     return binary_dataset(x, y, class_names=("0", "1", "2"))
 
 
+_SYNTH_DEFAULTS = {"n": 1000, "p": 99, "d_freq": 45, "d_conf": 5}
+DEFAULTS = {
+    "freq": {"n": 10000, "p": 10, "d_freq": 5},
+    "s1": _SYNTH_DEFAULTS,
+    "s2": _SYNTH_DEFAULTS,
+}
+"""Sizes of an `araf bench` run of each variant: rows n, features p, itemset
+capacity d_freq and rule count d_conf. A freq trial selects no rules, so freq
+has no d_conf."""
+
+
 def generate(variant: str, n: int, seed: int = 0, p: "int | None" = None) -> Dataset:
-    """The dataset of variant "freq", "s1" or "s2"; p=None takes its generator's default width."""
+    """The dataset of variant "freq", "s1" or "s2"; p=None takes the variant's DEFAULTS width."""
     if variant == "freq":
         gen = gen_freq_bench
     elif variant == "s1":
@@ -110,7 +121,7 @@ def generate(variant: str, n: int, seed: int = 0, p: "int | None" = None) -> Dat
         raise UsageError("unknown synthetic variant %r" % variant)
     if n < 1:
         raise UsageError("n must be >= 1")
-    return gen(n, seed) if p is None else gen(n, seed, p)
+    return gen(n, seed, DEFAULTS[variant]["p"] if p is None else p)
 
 
 # -- exhaustive reference miner ---------------------------------------------------
@@ -472,10 +483,10 @@ class TrialResult:
 def run_synth_trial(
     variant: str,
     seed: int,
-    n: int = 1000,
-    p: int = 99,
-    d_freq: int = 45,
-    d_conf: int = 5,
+    n: int,
+    p: int,
+    d_freq: int,
+    d_conf: int,
     with_eval: bool = True,
 ) -> TrialResult:
     """One benchmark trial: generate, mine each method, optionally evaluate.
@@ -536,7 +547,7 @@ def freq_ground_truth() -> list[tuple[tuple, float]]:
 
 
 def run_freq_trial(
-    ds: Dataset, n_prime: int, seed: int, d_freq: int = 5
+    ds: Dataset, n_prime: int, seed: int, d_freq: int
 ) -> tuple[bool, list[float]]:
     """Mine the freq dataset on one subsample draw.
 
@@ -553,3 +564,43 @@ def run_freq_trial(
     estimates = estimate_frequencies(ds, [ant for ant, _ in truths], n_prime, seed)
     errors = [abs(estimates[ant] - true) for ant, true in truths]
     return hit, errors
+
+
+def bench(variant: str, trials: int, seed: int, sizes: dict, with_eval: bool) -> tuple[list, list]:
+    """Run the trials of one `araf bench` run; returns its metrics rows and its recovery table.
+
+    sizes holds a value for each key of DEFAULTS[variant]. Trial t runs with
+    seed + 1000 * t. A freq run mines one dataset at every subsample size
+    n_prime and has no metrics rows; an s1/s2 run has them only with_eval.
+    Each non-empty table starts with its header row.
+    """
+    seeds = [seed + 1000 * t for t in range(trials)]
+    if variant == "freq":
+        ds = generate("freq", sizes["n"], seed, sizes["p"])
+        recovery = [["variant", "n_prime", "all_recovered", "trials", "mean_abs_err"]]
+        for n_prime in (100, 500, 1000, 5000):
+            runs = [run_freq_trial(ds, n_prime, s, sizes["d_freq"]) for s in seeds]
+            err_count = sum(len(errors) for _, errors in runs)
+            mean_err = sum(sum(errors) for _, errors in runs) / err_count if err_count else 0.0
+            hits = sum(hit for hit, _ in runs)
+            recovery.append(["freq", n_prime, hits, trials, "%.6f" % mean_err])
+        return [], recovery
+
+    metrics = [["variant", "method", "seed", "logloss", "accuracy"]] if with_eval else []
+    truths = s1_ground_truth()
+    counts = {m: dict.fromkeys(truths, 0) for m in METHODS if m != "origin"}
+    for s in seeds:
+        trial = run_synth_trial(variant, s, **sizes, with_eval=with_eval)
+        for method, (logloss, accuracy) in trial.metrics.items():
+            metrics.append([variant, method, s, "%.6f" % logloss, "%.6f" % accuracy])
+        for method, rules in trial.rules.items():
+            keys = rule_keys(rules)
+            for truth in truths:
+                counts[method][truth] += truth in keys
+    recovery = [["variant", "method", "rule", "recovered", "trials"]]
+    for method in sorted(counts):
+        for ant, cls in truths:
+            label = "&".join("X%d=%d" % (f + 1, v) for f, v in ant)
+            rule = "%s->%d" % (label, cls)
+            recovery.append([variant, method, rule, counts[method][ant, cls], trials])
+    return metrics, recovery

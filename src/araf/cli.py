@@ -6,7 +6,8 @@ and bench (synthetic benchmark runs). Every run that writes an output file
 also writes <output>.manifest.json recording the resolved parameters, seed,
 and sha256 of each input, so results can be tied back to what produced them.
 Each file is moved into place only once it is complete (data.open_output),
-and a command opens all its output files before it moves the first into place.
+and a command opens all its output files before it reads its input, so an
+output that cannot be written ends the run before any work, with nothing written.
 
 Exit codes: 0 success, 2 bad usage, 3 bad input data, 4 internal failure.
 """
@@ -50,15 +51,19 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def write_manifest(out_path: str, command: str, params: dict, inputs: list[str]) -> str:
-    """Record what produced out_path; returns the manifest path."""
+def write_manifest(out_path: str, command: str, params: dict, inputs: dict[str, str]) -> str:
+    """Record what produced out_path; returns the manifest path.
+
+    inputs maps each input path to its sha256, taken before any output of the
+    run was moved into place, since an output may replace one of its inputs.
+    """
     manifest = {
         "tool": "araf",
         "version": __version__,
         "command": command,
         "created": datetime.now(timezone.utc).isoformat(),
         "params": params,
-        "inputs": {p: _sha256(p) for p in inputs},
+        "inputs": inputs,
         "output": out_path,
     }
     path = out_path + ".manifest.json"
@@ -107,12 +112,14 @@ def _binned(ds: Dataset, args) -> tuple[Dataset, list]:
 
 
 def cmd_discretize(args) -> int:
-    mapped, maps = _binned(_load(args), args)
-    # the map is opened first: a map path that cannot be written leaves the data unwritten too
-    with open_output(args.out_map) if args.out_map else nullcontext() as map_f:
+    # a path that cannot be written leaves the other unwritten too
+    map_out = open_output(args.out_map) if args.out_map else nullcontext()
+    with map_out as map_f, open_output(args.out_data) as data_f:
+        mapped, maps = _binned(_load(args), args)
+        inputs = {args.input: _sha256(args.input)}
         if map_f:
             map_f.write(maps_to_json(maps))
-        write_csv(mapped, args.out_data)
+        write_csv(mapped, data_f)
     write_manifest(
         args.out_data,
         "discretize",
@@ -125,7 +132,7 @@ def cmd_discretize(args) -> int:
             "columns_discretized": [m.column for m in maps],
             "degenerate_columns": [m.column for m in maps if m.degenerate],
         },
-        [args.input],
+        inputs,
     )
     return 0
 
@@ -152,54 +159,54 @@ def cmd_mine(args) -> int:
     if threshold_mode and (args.minsupp is None or args.minconf is None):
         raise UsageError("threshold mining needs both --minsupp and --minconf")
 
-    ds = _load(args)
-    if args.k is not None:
-        ds, _ = _binned(ds, args)
-
-    if threshold_mode:
-        result = mine_with_thresholds(ds, args.minsupp)
-        rules = generate_rules_threshold(result, args.minconf)
-        params: dict = {"minsupp": args.minsupp, "minconf": args.minconf}
-    else:
-        scoring_name = args.scoring
-        per_class = args.per_class
-        if args.reluctant:
-            if scoring_name is not None and scoring_name != "rconf":
-                raise UsageError("--reluctant requires rconf scoring")
-            scoring_name = "rconf"
-            per_class = True
-        if scoring_name is None:
-            scoring_name = "conf"
-        d_freq, d_conf = args.d_freq, args.d_conf
-        if d_freq is None or d_conf is None:
-            sf, sc = suggest_params(ds.p, ds.num_classes)
-            d_freq = sf if d_freq is None else d_freq
-            d_conf = min(sc, d_freq) if d_conf is None else d_conf
-        config = MiningConfig(
-            d_freq=d_freq,
-            d_conf=d_conf,
-            per_class=per_class,
-            scoring=Scoring(scoring_name),
-            reluctant=args.reluctant,
-            subsample=args.subsample,
-            seed=args.seed,
-        )
-        result = mine_frequent(ds, config)
-        if config.reluctant:
-            rules = select_rules_reluctant(result, config)
-        else:
-            rules = select_rules(result, config)
-        params = {
-            "d_freq": d_freq,
-            "d_conf": d_conf,
-            "scoring": scoring_name,
-            "per_class": per_class,
-            "reluctant": args.reluctant,
-            "subsample": args.subsample,
-        }
-
     with open_output(args.out_rules) as f:
+        ds = _load(args)
+        if args.k is not None:
+            ds, _ = _binned(ds, args)
+
+        if threshold_mode:
+            result = mine_with_thresholds(ds, args.minsupp)
+            rules = generate_rules_threshold(result, args.minconf)
+            params: dict = {"minsupp": args.minsupp, "minconf": args.minconf}
+        else:
+            scoring_name = args.scoring
+            per_class = args.per_class
+            if args.reluctant:
+                if scoring_name is not None and scoring_name != "rconf":
+                    raise UsageError("--reluctant requires rconf scoring")
+                scoring_name = "rconf"
+                per_class = True
+            if scoring_name is None:
+                scoring_name = "conf"
+            d_freq, d_conf = args.d_freq, args.d_conf
+            if d_freq is None or d_conf is None:
+                sf, sc = suggest_params(ds.p, ds.num_classes)
+                d_freq = sf if d_freq is None else d_freq
+                d_conf = min(sc, d_freq) if d_conf is None else d_conf
+            config = MiningConfig(
+                d_freq=d_freq,
+                d_conf=d_conf,
+                per_class=per_class,
+                scoring=Scoring(scoring_name),
+                reluctant=args.reluctant,
+                subsample=args.subsample,
+                seed=args.seed,
+            )
+            result = mine_frequent(ds, config)
+            if config.reluctant:
+                rules = select_rules_reluctant(result, config)
+            else:
+                rules = select_rules(result, config)
+            params = {
+                "d_freq": d_freq,
+                "d_conf": d_conf,
+                "scoring": scoring_name,
+                "per_class": per_class,
+                "reluctant": args.reluctant,
+                "subsample": args.subsample,
+            }
         f.write(rules_to_jsonl(rules, ds.schema))
+        inputs = {args.input: _sha256(args.input)}
     params.update(
         {
             "input": args.input,
@@ -213,7 +220,7 @@ def cmd_mine(args) -> int:
             "pair_table_entries": result.table_stats.pair_entries,
         }
     )
-    write_manifest(args.out_rules, "mine", params, [args.input])
+    write_manifest(args.out_rules, "mine", params, inputs)
     return 0
 
 
@@ -235,15 +242,15 @@ def _format_g12(block: np.ndarray) -> list[list[str]]:
 
 
 def cmd_transform(args) -> int:
-    ds = _load(args)
-    if args.k is not None:
-        ds, _ = _binned(ds, args)
-    with open_text(args.rules) as f:
-        text = f.read()
-    antecedents = [ant for ant, _ in parse_rules_jsonl(text, ds.schema)]
-    matrix, names = transform(ds, antecedents, FeatureMode(args.mode))
-    labels = np.array(ds.schema.classes, dtype=object)[ds.labels]
     with open_output(args.out) as f:
+        ds = _load(args)
+        if args.k is not None:
+            ds, _ = _binned(ds, args)
+        with open_text(args.rules) as rules_f:
+            text = rules_f.read()
+        antecedents = [ant for ant, _ in parse_rules_jsonl(text, ds.schema)]
+        matrix, names = transform(ds, antecedents, FeatureMode(args.mode))
+        labels = np.array(ds.schema.classes, dtype=object)[ds.labels]
         writer = csv.writer(f)
         writer.writerow(names + [ds.schema.label_name])
         for start in range(0, ds.n, _BLOCK_ROWS):
@@ -252,6 +259,7 @@ def cmd_transform(args) -> int:
             for row, lab in zip(rows, labels[start:stop].tolist()):
                 row.append(lab)
             writer.writerows(rows)
+        inputs = {path: _sha256(path) for path in (args.input, args.rules)}
     write_manifest(
         args.out,
         "transform",
@@ -263,72 +271,12 @@ def cmd_transform(args) -> int:
             "k": args.k,
             "features": len(names),
         },
-        [args.input, args.rules],
+        inputs,
     )
     return 0
 
 
 # -- bench --------------------------------------------------------------------------
-
-
-def _bench_sizes(args) -> dict:
-    """n, p, d_freq and (s1/s2 only) d_conf of a bench run: each flag as given, else its default.
-
-    Only a missing flag takes the default; 0 is a value. A freq trial selects
-    no rules, so --d-conf with --variant freq is a usage error.
-    """
-    if args.variant == "freq":
-        if args.d_conf is not None:
-            raise UsageError("--d-conf does not apply to --variant freq, which selects no rules")
-        defaults = {"n": 10000, "p": 10, "d_freq": 5}
-    else:
-        defaults = {"n": 1000, "p": 99, "d_freq": 45, "d_conf": 5}
-    return {k: d if getattr(args, k) is None else getattr(args, k) for k, d in defaults.items()}
-
-
-def _bench_freq(args, sizes: dict) -> list[list]:
-    from .bench import generate, run_freq_trial  # imported on use: only bench needs it
-
-    grid = [100, 500, 1000, 5000]
-    recovery_rows = []
-    ds = generate("freq", sizes["n"], args.seed, sizes["p"])
-    for n_prime in grid:
-        hits = 0
-        err_sum = 0.0
-        err_count = 0
-        for t in range(args.trials):
-            hit, errors = run_freq_trial(ds, n_prime, args.seed + 1000 * t, sizes["d_freq"])
-            hits += int(hit)
-            err_sum += sum(errors)
-            err_count += len(errors)
-        mean_err = err_sum / err_count if err_count else 0.0
-        recovery_rows.append(["freq", n_prime, hits, args.trials, "%.6f" % mean_err])
-    return recovery_rows
-
-
-def _bench_synth(args, sizes: dict, writer) -> list[list]:
-    from .bench import METHODS, rule_keys, run_synth_trial, s1_ground_truth
-
-    counts: dict = {m: {} for m in METHODS if m != "origin"}
-    truths = s1_ground_truth()
-    for t in range(args.trials):
-        seed = args.seed + 1000 * t
-        trial = run_synth_trial(args.variant, seed, **sizes, with_eval=not args.no_eval)
-        for method, metric in trial.metrics.items():
-            writer.writerow([args.variant, method, seed, "%.6f" % metric[0], "%.6f" % metric[1]])
-        for method, rules in trial.rules.items():
-            keys = rule_keys(rules)
-            for ant, cls in truths:
-                if (ant, cls) in keys:
-                    counts[method][(ant, cls)] = counts[method].get((ant, cls), 0) + 1
-    rows = []
-    for method in sorted(counts):
-        for ant, cls in truths:
-            label = "&".join("X%d=%d" % (f + 1, v) for f, v in ant)
-            rows.append(
-                [args.variant, method, "%s->%d" % (label, cls), counts[method].get((ant, cls), 0), args.trials]
-            )
-    return rows
 
 
 def cmd_bench(args) -> int:
@@ -339,22 +287,23 @@ def cmd_bench(args) -> int:
         # such a run has no metrics rows, so --out holds its recovery table
         raise UsageError("--recovery does not apply to --variant freq or --no-eval, "
                          "which write their recovery table to --out")
-    sizes = _bench_sizes(args)
+    if args.variant == "freq" and args.d_conf is not None:
+        raise UsageError("--d-conf does not apply to --variant freq, which selects no rules")
+    from .bench import DEFAULTS, bench  # imported on use: only bench needs it
+
+    # only a missing flag takes the default; 0 is a value
+    sizes = {
+        k: d if getattr(args, k) is None else getattr(args, k)
+        for k, d in DEFAULTS[args.variant].items()
+    }
     # open both files before any trial runs; neither is moved into place until both are written
     recovery_out = open_output(args.recovery) if args.recovery else nullcontext()
     with open_output(args.out) as f, recovery_out as recovery_f:
-        writer = csv.writer(f)
-        if evaluated:
-            writer.writerow(["variant", "method", "seed", "logloss", "accuracy"])
-        if args.variant == "freq":
-            recovery = _bench_freq(args, sizes)
-            header = ["variant", "n_prime", "all_recovered", "trials", "mean_abs_err"]
-        else:
-            recovery = _bench_synth(args, sizes, writer)
-            header = ["variant", "method", "rule", "recovered", "trials"]
+        metrics, recovery = bench(args.variant, args.trials, args.seed, sizes, with_eval=not args.no_eval)
+        csv.writer(f).writerows(metrics)
         table_f = recovery_f if evaluated else f
         if table_f:
-            csv.writer(table_f).writerows([header, *recovery])
+            csv.writer(table_f).writerows(recovery)
     write_manifest(
         args.out,
         "bench",
@@ -366,7 +315,7 @@ def cmd_bench(args) -> int:
             "recovery": args.recovery,
             "no_eval": args.no_eval,
         },
-        [],
+        {},
     )
     return 0
 

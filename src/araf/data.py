@@ -243,6 +243,8 @@ def load_csv(
     for name, kind in declared.items():
         if name not in header:
             raise UsageError("declared kind for unknown column %r" % name)
+        if name == label_column:
+            raise UsageError("declared kind for label column %r, which is always categorical" % name)
         if not isinstance(kind, ColumnKind):
             raise UsageError("unknown column kind %r" % (kind,))
 
@@ -275,8 +277,11 @@ def load_csv(
     return Dataset(schema, tuple(columns), labels)
 
 
-def write_csv(ds: Dataset, path: str) -> None:
-    """Write the dataset back to CSV; loading the result preserves values."""
+def write_csv(ds: Dataset, fh) -> None:
+    """Write the dataset as CSV to fh; loading the result preserves values.
+
+    fh is a text file opened with newline="", as open_output opens one.
+    """
     cols = []
     for spec, col in zip(ds.schema.features, ds.columns):
         if spec.kind is ColumnKind.CATEGORICAL:
@@ -284,10 +289,9 @@ def write_csv(ds: Dataset, path: str) -> None:
         else:
             cols.append(map(repr, col.astype(np.float64).tolist()))
     cols.append(np.array(ds.schema.classes, dtype=object)[ds.labels].tolist())
-    with open_output(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow([c.name for c in ds.schema.features] + [ds.schema.label_name])
-        writer.writerows(zip(*cols))
+    writer = csv.writer(fh)
+    writer.writerow([c.name for c in ds.schema.features] + [ds.schema.label_name])
+    writer.writerows(zip(*cols))
 
 
 def binary_dataset(

@@ -13,7 +13,6 @@ import pytest
 
 from araf.bench import (
     brute_force_topk,
-    gen_freq_bench,
     gen_s1,
     generate,
     run_freq_trial,
@@ -41,7 +40,8 @@ def s1_trials():
     """100 seeded S1 trials: mined rules for every method plus LR metrics."""
     t0 = time.perf_counter()
     trials = [
-        run_synth_trial("s1", seed=BASE_SEED + t, with_eval=True) for t in range(TRIALS)
+        run_synth_trial("s1", BASE_SEED + t, n=1000, p=99, d_freq=45, d_conf=5, with_eval=True)
+        for t in range(TRIALS)
     ]
     return trials, time.perf_counter() - t0
 
@@ -237,7 +237,7 @@ def test_criterion_6_hoeffding_subsampling():
 
     # two itemsets 0.05 apart in true frequency, estimated on the same
     # 5000-row draw: the observed swap rate must stay within the bound
-    ds = gen_freq_bench(200_000, seed=7)
+    ds = generate("freq", 200_000, seed=7)
     pair, single = ((0, 1), (1, 1)), ((2, 1),)
     t0 = time.perf_counter()
     misorders = 0
@@ -255,7 +255,7 @@ def test_criterion_6_hoeffding_subsampling():
 
 
 def test_criterion_7_frequency_recovery():
-    ds = gen_freq_bench(50_000, seed=3)
+    ds = generate("freq", 50_000, seed=3)
     grid = (100, 500, 1000, 5000)
     mean_errs = []
     hits_by_size = []
@@ -263,7 +263,7 @@ def test_criterion_7_frequency_recovery():
         hits = 0
         errs = []
         for seed in range(100):
-            hit, trial_errs = run_freq_trial(ds, n_prime, seed=seed)
+            hit, trial_errs = run_freq_trial(ds, n_prime, seed=seed, d_freq=5)
             hits += int(hit)
             errs.extend(trial_errs)
         hits_by_size.append(hits)

@@ -13,9 +13,6 @@ from araf.bench import (
     brute_force_topk,
     evaluate,
     freq_ground_truth,
-    gen_freq_bench,
-    gen_s1,
-    gen_s2,
     generate,
     mine_method,
     run_synth_trial,
@@ -32,7 +29,7 @@ from reference import values_equal
 
 class TestGenerators:
     def test_s1_shape_and_schema(self):
-        ds = gen_s1(1000, seed=0)
+        ds = generate("s1", 1000, seed=0)
         assert ds.n == 1000 and ds.p == 99
         assert ds.schema.classes == ("0", "1", "2")
         assert ds.schema.feature_names()[0] == "X1"
@@ -43,7 +40,7 @@ class TestGenerators:
         expected = np.array([0.6816667, 0.2304167, 0.0879167])
         counts = np.zeros(3)
         for seed in range(100):
-            ds = gen_s1(1000, seed=seed)
+            ds = generate("s1", 1000, seed=seed)
             counts += np.bincount(ds.labels, minlength=3)
         total = counts.sum()
         chi2 = float(((counts - total * expected) ** 2 / (total * expected)).sum())
@@ -53,7 +50,7 @@ class TestGenerators:
     def test_s1_exact_noise_count(self):
         # exactly round(0.05 n) rows get relabeled, so at most that many
         # rows can disagree with the noise-free rule
-        ds = gen_s1(1000, seed=5)
+        ds = generate("s1", 1000, seed=5)
         x1 = ds.columns[0]
         x2, x3 = ds.columns[1], ds.columns[2]
         clean = np.where(x1 == 0, 0, np.where((x2 == 1) & (x3 == 1), 2, 1))
@@ -61,24 +58,24 @@ class TestGenerators:
         assert disagree <= 50
 
     def test_s1_seed_determinism(self):
-        assert values_equal(gen_s1(200, seed=9), gen_s1(200, seed=9))
-        assert not values_equal(gen_s1(200, seed=9), gen_s1(200, seed=10))
+        assert values_equal(generate("s1", 200, seed=9), generate("s1", 200, seed=9))
+        assert not values_equal(generate("s1", 200, seed=9), generate("s1", 200, seed=10))
 
     def test_s2_constant_columns(self):
-        ds = gen_s2(400, seed=3)
+        ds = generate("s2", 400, seed=3)
         assert ds.p == 99
         assert (ds.columns[97] == 1).all()
         assert (ds.columns[98] == 1).all()
 
     def test_s2_matches_s1_elsewhere(self):
-        a = gen_s1(300, seed=7)
-        b = gen_s2(300, seed=7)
+        a = generate("s1", 300, seed=7)
+        b = generate("s2", 300, seed=7)
         assert (a.labels == b.labels).all()
         for j in range(97):
             assert (a.columns[j] == b.columns[j]).all()
 
     def test_freq_marginals(self):
-        ds = gen_freq_bench(200_000, seed=2)
+        ds = generate("freq", 200_000, seed=2)
         x1, x2, x3 = ds.columns[0], ds.columns[1], ds.columns[2]
         assert np.mean(x1 == 1) == pytest.approx(0.90, abs=0.01)
         assert np.mean(x2 == 1) == pytest.approx(0.80, abs=0.01)
@@ -86,7 +83,7 @@ class TestGenerators:
         assert np.mean(x3 == 1) == pytest.approx(0.70, abs=0.01)
 
     def test_freq_single_class(self):
-        ds = gen_freq_bench(100, seed=0)
+        ds = generate("freq", 100, seed=0)
         assert ds.schema.classes == ("1",)
         assert (ds.labels == 0).all()
 
@@ -258,7 +255,7 @@ class TestLogregExactness:
 
     def test_matches_on_a_real_trial_matrix(self):
         # the conf feature matrix of one s1 trial, built as run_synth_trial builds it
-        ds = gen_s1(1000, seed=3)
+        ds = generate("s1", 1000, seed=3)
         train_idx, test_idx = stratified_split(ds.labels, 0.3, 3 + 7_000_003)
         train_ds = Dataset(
             ds.schema, tuple(col[train_idx] for col in ds.columns), ds.labels[train_idx]
@@ -305,7 +302,7 @@ class TestStratifiedSplit:
 
 class TestTrialHarness:
     def test_one_trial_reports_all_methods(self):
-        trial = run_synth_trial("s1", seed=1000, with_eval=True)
+        trial = run_synth_trial("s1", seed=1000, n=1000, p=99, d_freq=45, d_conf=5, with_eval=True)
         assert set(trial.rules) == {"conf", "rconf", "reluctant"}
         assert set(trial.metrics) == {"origin", "conf", "rconf", "reluctant"}
         for logloss, acc in trial.metrics.values():
@@ -314,7 +311,7 @@ class TestTrialHarness:
     @pytest.mark.parametrize("n", [1, 2])
     def test_empty_split_side_is_a_usage_error(self, n):
         with pytest.raises(UsageError, match="--n %d" % n):
-            run_synth_trial("s1", seed=0, n=n)
+            run_synth_trial("s1", seed=0, n=n, p=99, d_freq=45, d_conf=5)
 
     def test_zero_width_is_not_replaced_by_the_default(self):
         with pytest.raises(UsageError, match="p >= 3"):

@@ -2,6 +2,7 @@
 
 import csv
 import errno
+import hashlib
 import json
 import os
 
@@ -430,12 +431,17 @@ class TestBench:
         assert os.listdir(tmp_path) == []
 
 
-    def test_manifest_records_the_s1_defaults(self, tmp_path):
+    @pytest.mark.parametrize(
+        "variant, sizes",
+        [("freq", (10000, 10, 5)), ("s1", (1000, 99, 45, 5)), ("s2", (1000, 99, 45, 5))],
+        ids=["freq", "s1", "s2"],
+    )
+    def test_manifest_records_the_defaults(self, variant, sizes, tmp_path):
         out = str(tmp_path / "recovery.csv")
-        argv = ["bench", "--variant", "s1", "--trials", "1", "--no-eval", "--out", out]
+        argv = ["bench", "--variant", variant, "--trials", "1", "--no-eval", "--out", out]
         assert main(argv) == 0
         params = read_manifest(out)["params"]
-        assert (params["n"], params["p"], params["d_freq"], params["d_conf"]) == (1000, 99, 45, 5)
+        assert tuple(params[k] for k in ("n", "p", "d_freq", "d_conf") if k in params) == sizes
 
     def test_freq_manifest_records_the_sizes_that_ran(self, tmp_path, monkeypatch):
         from araf import bench
@@ -572,11 +578,11 @@ class TestAtomicOutputs:
 
     def test_manifest_failing_partway_keeps_the_earlier_manifest(self, tmp_path):
         out = str(tmp_path / "out.csv")
-        write_manifest(out, "bench", {"trials": 1}, [])
+        write_manifest(out, "bench", {"trials": 1}, {})
         manifest = tmp_path / "out.csv.manifest.json"
         earlier = manifest.read_bytes()
         with pytest.raises(TypeError):
-            write_manifest(out, "bench", {"trials": 1, "zz": object()}, [])
+            write_manifest(out, "bench", {"trials": 1, "zz": object()}, {})
         assert manifest.read_bytes() == earlier
         assert os.listdir(tmp_path) == ["out.csv.manifest.json"]
 
@@ -589,6 +595,33 @@ class TestAtomicOutputs:
             "data error: cannot write 'nodir/r.jsonl': its directory does not exist\n"
         )
         assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("command", ["discretize", "mine", "transform"])
+    def test_missing_output_directory_is_reported_before_the_input_is_read(
+        self, command, categorical_csv, tmp_path, monkeypatch, capsys
+    ):
+        def no_load(*args, **kwargs):
+            raise AssertionError("the input was read")
+
+        monkeypatch.setattr(cli, "load_csv", no_load)
+        before = sorted(os.listdir(tmp_path))
+        out = str(tmp_path / "nodir" / "out")
+        flag = {"discretize": "--out-data", "mine": "--out-rules", "transform": "--out"}[command]
+        argv = [command, "--input", categorical_csv, "--label", "y", flag, out]
+        if command == "discretize":
+            argv += ["--k", "3"]
+        if command == "transform":
+            argv += ["--rules", str(tmp_path / "rules.jsonl"), "--mode", "label"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "data error: cannot write %r: its directory does not exist\n" % out
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_manifest_hashes_an_input_before_the_output_replaces_it(self, mixed_csv, tmp_path):
+        with open(mixed_csv, "rb") as f:
+            before = hashlib.sha256(f.read()).hexdigest()
+        argv = ["discretize", "--input", mixed_csv, "--label", "y", "--k", "3", "--out-data", mixed_csv]
+        assert main(argv) == 0
+        assert read_manifest(mixed_csv)["inputs"] == {mixed_csv: before}
 
     def test_discretize_writes_nothing_when_the_map_cannot_be_written(self, mixed_csv, tmp_path, capsys):
         before = sorted(os.listdir(tmp_path))
@@ -656,6 +689,15 @@ class TestErrors:
             ]
         )
         assert rc == 2
+
+    def test_declared_kind_for_the_label_is_a_usage_error(self, categorical_csv, tmp_path, capsys):
+        rc = main(["mine", "--input", categorical_csv, "--label", "y", "--assume-categorical",
+                   "--declare", "y=continuous", "--out-rules", str(tmp_path / "r.jsonl")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "usage error: declared kind for label column 'y', which is always categorical\n"
+        )
+        assert os.listdir(tmp_path) == ["cat.csv"]
 
     @pytest.mark.parametrize("command", ["discretize", "mine", "transform"])
     def test_k_too_small(self, command, mixed_csv, tmp_path, capsys):

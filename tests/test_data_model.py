@@ -14,6 +14,7 @@ from araf.data import (
     Schema,
     binary_dataset,
     load_csv,
+    open_output,
     write_csv,
 )
 from araf.errors import DataError, UsageError
@@ -128,11 +129,16 @@ class TestLoadCsv:
             load_csv(write(tmp_path, "a,y\n1,x\n1,x,2\n,x\n"), "y")
 
 
+def write_csv_file(ds, path):
+    with open_output(path) as fh:
+        write_csv(ds, fh)
+
+
 class TestRoundTrip:
     def test_write_then_load_preserves_values(self, tmp_path):
         ds = load_csv(write(tmp_path, BASIC), "y")
         out = str(tmp_path / "out.csv")
-        write_csv(ds, out)
+        write_csv_file(ds, out)
         ds2 = load_csv(out, "y")
         assert values_equal(ds, ds2)
         assert ds2.schema.feature_names() == ds.schema.feature_names()
@@ -172,10 +178,10 @@ class TestRoundTripProperty:
         with open(src, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows([header] + rows)
         ds = load_csv(str(src), "y")
-        write_csv(ds, str(tmp / "a.csv"))
+        write_csv_file(ds, str(tmp / "a.csv"))
         reference_write_csv(ds, str(tmp / "ref.csv"))
         again = load_csv(str(tmp / "a.csv"), "y")
-        write_csv(again, str(tmp / "b.csv"))
+        write_csv_file(again, str(tmp / "b.csv"))
         first = (tmp / "a.csv").read_bytes()
         assert first == (tmp / "ref.csv").read_bytes()
         assert first == (tmp / "b.csv").read_bytes()

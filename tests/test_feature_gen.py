@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from araf.bench import gen_s1
+from araf.bench import generate
 from araf.data import Column, ColumnKind, Dataset, Schema, binary_dataset, load_csv
 from araf.errors import DataError, UsageError
 from araf.features import FeatureMode, antecedent_name, suggest_params, transform
@@ -227,7 +227,7 @@ class TestTransform:
 
 class TestEndToEndWidth:
     def test_s1_label_mode_width(self):
-        ds = gen_s1(500, seed=0)
+        ds = generate("s1", 500, seed=0)
         config = MiningConfig(
             45, 5, per_class=True, scoring=Scoring.RELATIVE_CONFIDENCE, reluctant=True
         )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from araf.bench import gen_freq_bench
+from araf.bench import generate
 from araf.data import binary_dataset
 from araf.errors import UsageError
 from araf.sampling import estimate_frequencies, required_sample_size, subsample
@@ -87,7 +87,7 @@ class TestEstimateFrequencies:
     def test_accuracy_at_bound_size(self):
         # the 0.7-frequency column estimated on n'=5000 should stay within
         # 0.02 nearly always; 3-sigma here is about 0.019
-        ds = gen_freq_bench(50_000, seed=1)
+        ds = generate("freq", 50_000, seed=1)
         ant = ((2, 1),)
         within = 0
         trials = 200

@@ -55,3 +55,17 @@ def test_every_error_class_is_caught_by_cli_main():
         if isinstance(name, ast.Name)
     }
     assert [name for name in classes if name not in caught] == []
+
+
+def test_package_root_binds_only_the_version():
+    # each name is declared once, in its defining module; the root re-exports none
+    tree = parsed_modules()["__init__.py"]
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+    assert bound == {"__version__"}
