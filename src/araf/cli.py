@@ -100,10 +100,14 @@ def _load(args) -> Dataset:
     return load_csv(args.input, args.label, declared_kinds=declared)
 
 
+def _check_k(args) -> None:
+    """Refuse a --k the discretizer cannot fit, before any file is opened."""
+    if args.k is not None and args.k < 2:
+        raise UsageError("--k must be >= 2")
+
+
 def _binned(ds: Dataset, args) -> tuple[Dataset, list]:
     """ds with its continuous columns binned by an entropy fit with --k and --l, and the maps."""
-    if args.k < 2:
-        raise UsageError("--k must be >= 2")
     maps = fit_dataset(ds, k=args.k, l=args.l)
     return apply_dataset(ds, maps), maps
 
@@ -112,6 +116,7 @@ def _binned(ds: Dataset, args) -> tuple[Dataset, list]:
 
 
 def cmd_discretize(args) -> int:
+    _check_k(args)
     # a path that cannot be written leaves the other unwritten too
     map_out = open_output(args.out_map) if args.out_map else nullcontext()
     with map_out as map_f, open_output(args.out_data) as data_f:
@@ -158,6 +163,9 @@ def cmd_mine(args) -> int:
         )
     if threshold_mode and (args.minsupp is None or args.minconf is None):
         raise UsageError("threshold mining needs both --minsupp and --minconf")
+    if args.reluctant and args.scoring not in (None, "rconf"):
+        raise UsageError("--reluctant requires rconf scoring")
+    _check_k(args)
 
     with open_output(args.out_rules) as f:
         ds = _load(args)
@@ -172,8 +180,6 @@ def cmd_mine(args) -> int:
             scoring_name = args.scoring
             per_class = args.per_class
             if args.reluctant:
-                if scoring_name is not None and scoring_name != "rconf":
-                    raise UsageError("--reluctant requires rconf scoring")
                 scoring_name = "rconf"
                 per_class = True
             if scoring_name is None:
@@ -242,6 +248,7 @@ def _format_g12(block: np.ndarray) -> list[list[str]]:
 
 
 def cmd_transform(args) -> int:
+    _check_k(args)
     with open_output(args.out) as f:
         ds = _load(args)
         if args.k is not None:

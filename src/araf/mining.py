@@ -21,7 +21,9 @@ vertical way of Eclat's tid-lists (Zaki 2000) and MAFIA's bitmaps (Burdick
 et al. 2001): each item holds a bit set of the rows it occurs in, and a
 pair's count is the popcount of the AND of its two items' bit sets. Counts
 are exact integers at any n. Python ClassItemsets are built only for the
-itemsets selected.
+itemsets selected. A pool selected on a subsample is recounted exactly on
+the full data in a single bit-set pass over the survivors' items, a
+singleton on item i as the pair (i, i).
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ class MiningConfig:
     additionally drops interactions that do not beat their main effects
     and requires per_class. subsample, when set, draws that many rows with
     replacement for selection; the selected itemsets are then recounted on
-    the full data before scoring.
+    the full data in one pass before scoring.
     """
 
     d_freq: int
@@ -125,7 +127,6 @@ class RankSpace:
         self.total_items = int(self.offsets[-1])
         self.features = np.repeat(np.arange(len(sizes)), sizes)
         self.categories = np.arange(self.total_items) - self.offsets[self.features]
-        self.max_categories = max(sizes, default=0)
         self.num_classes = schema.num_classes
         self.pair_base = self.total_items * self.num_classes
 
@@ -223,7 +224,8 @@ def count_pairs(ds: Dataset, pairs, space: "RankSpace | None" = None) -> np.ndar
 
     pairs is an (m, 2) array of item indices (see RankSpace); row k of the
     (m, num_classes) int64 result counts, per class, the rows holding both
-    items of pair k. Every class is counted, not only the class that
+    items of pair k. A row (i, i) counts item i alone, the singleton's
+    per-class counts. Every class is counted, not only the class that
     proposed a candidate, because confidence needs the full antecedent
     marginal.
 
@@ -240,10 +242,7 @@ def count_pairs(ds: Dataset, pairs, space: "RankSpace | None" = None) -> np.ndar
         return out
     used, local = _distinct(pairs.ravel())
     first, second = local.reshape(pairs.shape).T
-    features, feature_of_item = _distinct(space.features[used])
-    categories = space.categories[used, None]
-    sentinel = space.max_categories  # no category has this id
-    code_dtype = np.min_scalar_type(sentinel)
+    items = list(zip(space.features[used].tolist(), space.categories[used].tolist()))
     label_dtype = np.min_scalar_type(num_classes)  # small, so the stable sort is a radix sort
     for lo in range(0, ds.n, BLOCK_ROWS):
         labels = ds.labels[lo : lo + BLOCK_ROWS]
@@ -251,16 +250,15 @@ def count_pairs(ds: Dataset, pairs, space: "RankSpace | None" = None) -> np.ndar
         sizes = np.bincount(labels, minlength=num_classes)
         words = -(-sizes // 64)
         # rows in class order, each class's run padded to whole words by
-        # slots that read a sentinel column, which no item matches
+        # slots that read column `rows` of hits, which is all False
         padding = np.repeat(np.arange(num_classes), 64 * words - sizes)
         slot_labels = np.concatenate([labels, padding], dtype=label_dtype, casting="unsafe")
         layout = np.minimum(np.argsort(slot_labels, kind="stable"), rows)
-        codes = np.empty((len(features), rows + 1), dtype=code_dtype)
-        codes[:, rows] = sentinel
-        columns = [ds.columns[f][lo : lo + rows] for f in features.tolist()]
-        np.stack(columns, out=codes[:, :rows], casting="unsafe")
-        hits = codes.take(layout, axis=1)[feature_of_item] == categories
-        bits = np.packbits(hits, axis=1).view(np.uint64)
+        hits = np.empty((len(items), rows + 1), dtype=bool)
+        hits[:, rows] = False
+        for k, (f, category) in enumerate(items):
+            np.equal(ds.columns[f][lo : lo + rows], category, out=hits[k, :rows])
+        bits = np.packbits(hits.take(layout, axis=1), axis=1).view(np.uint64)
         present = words > 0
         runs = (np.cumsum(words) - words)[present]
         step = max(1, CHUNK_WORDS // bits.shape[1])
@@ -339,23 +337,25 @@ class MiningResult:
         return got
 
 
+def _table_counts(space: RankSpace, r1, r2, singletons, keys, pair_counts) -> np.ndarray:
+    """Per-class counts of itemset rows (r1, r2) from the singleton table and sorted pair keys."""
+    is_pair = r2 >= 0
+    counts = singletons[r1 // space.num_classes]
+    counts[is_pair] = pair_counts[np.searchsorted(keys, _pair_keys(space, r1[is_pair], r2[is_pair]))]
+    return counts
+
+
 def _result(
-    ds: Dataset, space: RankSpace, per_class: bool, selected, singletons, pairs, pair_entries
+    ds: Dataset, space: RankSpace, per_class: bool, selected, counts, pair_entries
 ) -> MiningResult:
     """The MiningResult of the selected itemset rows (support, r1, r2).
 
-    Rows come grouped by ascending class when per_class is set. singletons
-    and pairs = (sorted pair keys, their per-class counts) hold full-data
-    counts covering every selected itemset; pair_entries is the number of
-    distinct pairs counted during selection.
+    Rows come grouped by ascending class when per_class is set. counts holds
+    each row's full-data per-class antecedent counts; pair_entries is the
+    number of distinct pairs counted during selection.
     """
     support, r1, r2 = selected
     itemsets = space.itemsets(support, r1, r2)
-    keys, pair_counts = pairs
-    is_pair = r2 >= 0
-    counts = singletons[r1 // space.num_classes]
-    at = np.searchsorted(keys, _pair_keys(space, r1[is_pair], r2[is_pair]))
-    counts[is_pair] = pair_counts[at]
     grouped = None
     if per_class:
         bounds = np.searchsorted(r1 % space.num_classes, np.arange(space.num_classes + 1)).tolist()
@@ -366,7 +366,7 @@ def _result(
         class_totals=ds.class_counts(),
         itemsets=None if per_class else itemsets,
         per_class=grouped,
-        table_stats=TableStats(len(singletons), pair_entries),
+        table_stats=TableStats(space.total_items, pair_entries),
         _counts={its.antecedent: row for its, row in zip(itemsets, counts)},
     )
 
@@ -378,7 +378,8 @@ def mine_frequent(ds: Dataset, config: MiningConfig) -> MiningResult:
     mode gives every class its own pool of max(1, d_freq // num_classes).
     With config.subsample set, selection runs on a with-replacement
     subsample and all surviving counts are then recomputed exactly in one
-    pass over the full data.
+    count_pairs pass over the full data, a singleton on item i as the pair
+    (i, i); no whole-table singleton count is made.
     """
     space = RankSpace(ds.schema)
     num_classes = ds.num_classes
@@ -400,19 +401,19 @@ def mine_frequent(ds: Dataset, config: MiningConfig) -> MiningResult:
     keep = top(support, r1)
     pair_entries = len(keys)
 
-    if config.subsample is not None:
+    if config.subsample is None:
+        counts = _table_counts(space, r1[keep], r2[keep], singletons, keys, counts)
+    else:
         # selection was approximate; recount what survived on the full data
         keep = np.sort(keep)  # back in rank order
         r1, r2 = r1[keep], r2[keep]
-        singletons = count_singletons(ds, space)
-        is_pair = r2 >= 0
-        keys, rows = _distinct(_pair_keys(space, r1[is_pair], r2[is_pair]))
-        counts = count_pairs(ds, np.column_stack(np.divmod(keys, space.total_items)), space)
-        support = singletons.ravel()[r1]
-        support[is_pair] = counts[rows, r1[is_pair] % num_classes]
+        keys, rows = _distinct(_pair_keys(space, r1, np.where(r2 < 0, r1, r2)))
+        counts = count_pairs(ds, np.column_stack(np.divmod(keys, space.total_items)), space)[rows]
+        support = counts[np.arange(len(r1)), r1 % num_classes]
         keep = top(support, r1)
+        counts = counts[keep]
     selected = support[keep], r1[keep], r2[keep]
-    return _result(ds, space, config.per_class, selected, singletons, (keys, counts), pair_entries)
+    return _result(ds, space, config.per_class, selected, counts, pair_entries)
 
 
 def mine_with_thresholds(ds: Dataset, minsupp: float) -> MiningResult:
@@ -433,4 +434,5 @@ def mine_with_thresholds(ds: Dataset, minsupp: float) -> MiningResult:
     (support, r1, r2), keys, counts = _count_candidates(ds, space, singletons, frequent)
     kept = support >= floor  # rows are in rank order
     selected = support[kept], r1[kept], r2[kept]
-    return _result(ds, space, False, selected, singletons, (keys, counts), len(keys))
+    counts = _table_counts(space, r1[kept], r2[kept], singletons, keys, counts)
+    return _result(ds, space, False, selected, counts, len(keys))

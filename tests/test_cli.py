@@ -712,6 +712,26 @@ class TestErrors:
         assert "--k must be >= 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["discretize", "--k", "1", "--out-data"], "--k must be >= 2"),
+            (["mine", "--k", "1", "--out-rules"], "--k must be >= 2"),
+            (["transform", "--k", "1", "--rules", "r.jsonl", "--mode", "label", "--out"],
+             "--k must be >= 2"),
+            (["mine", "--reluctant", "--scoring", "conf", "--out-rules"],
+             "--reluctant requires rconf scoring"),
+        ],
+        ids=["discretize-k", "mine-k", "transform-k", "mine-reluctant-conf"],
+    )
+    def test_bad_flag_is_refused_before_any_file_is_touched(self, argv, message, tmp_path, capsys):
+        # the input does not exist, so reading it would exit 3
+        before = sorted(os.listdir(tmp_path))
+        argv = argv[:1] + ["--input", str(tmp_path / "absent.csv"), "--label", "y"] + argv[1:]
+        assert main(argv + [str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "usage error: %s\n" % message
+        assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["mine", "--label", "y", "--subsample", "5", "--out-rules"],

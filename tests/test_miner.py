@@ -1,5 +1,6 @@
 """Counting, candidate generation, top-K selection, and the mining loop."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from araf import mining
 from araf.bench import brute_force_topk
 from araf.data import binary_dataset, Column, ColumnKind, Dataset, Schema
 from araf.errors import UsageError
@@ -188,6 +190,13 @@ def row_mask_counts(ds, pairs):
     return out
 
 
+def antecedent_mask(ds, antecedent):
+    mask = np.ones(ds.n, dtype=bool)
+    for f, cat in antecedent:
+        mask &= ds.columns[f] == cat
+    return mask
+
+
 @st.composite
 def pair_count_cases(draw):
     """A random table and a list of item-index pairs, repeats and same-item
@@ -280,6 +289,17 @@ class TestCounting:
         ds = binary_dataset(x, y, class_names=("a", "b", "c"))
         counts = count_pairs(ds, [[1, 3], [0, 3]])
         assert counts.tolist() == [[BLOCK_ROWS, 5, 0], [0, 0, 0]]
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: random_dataset(np.random.default_rng(3)), lambda: block_crossing_case()[0]],
+        ids=["random", "block-crossing"],
+    )
+    def test_an_item_paired_with_itself_counts_its_singleton(self, make):
+        ds = make()
+        items = np.arange(RankSpace(ds.schema).total_items)
+        got = count_pairs(ds, np.column_stack([items, items]))
+        assert got.tolist() == count_singletons(ds).tolist()
 
     @settings(max_examples=100, deadline=None)
     @given(pair_count_cases())
@@ -406,10 +426,21 @@ class TestMineFrequent:
         assert exact.n == ds.n
         assert exact.class_totals.tolist() == ds.class_counts().tolist()
         for its in exact.all_itemsets():
-            mask = np.ones(ds.n, dtype=bool)
-            for f, cat in its.antecedent:
-                mask &= ds.columns[f] == cat
+            mask = antecedent_mask(ds, its.antecedent)
             assert its.support == int((ds.labels[mask] == its.class_id).sum())
+
+    def test_recount_is_one_pass_over_the_full_data(self, monkeypatch):
+        rows = {"count_singletons": [], "count_pairs": []}
+        for name, real in [("count_singletons", count_singletons), ("count_pairs", count_pairs)]:
+            def spy(ds, *args, name=name, real=real):
+                rows[name].append(ds.n)
+                return real(ds, *args)
+
+            monkeypatch.setattr(mining, name, spy)
+        ds = random_dataset(np.random.default_rng(31), n=400)
+        mine_frequent(ds, MiningConfig(10, 4, subsample=80, seed=5))
+        # singletons are counted on the draw only; the recount is one count_pairs call
+        assert rows == {"count_singletons": [80], "count_pairs": [80, 400]}
 
 
 @st.composite
@@ -464,6 +495,47 @@ class TestMineFrequentProperty:
         assert result.itemsets == want.itemsets
         assert result.per_class == want.per_class
         assert select(result, config) == want.rules
+
+
+@st.composite
+def subsample_cases(draw):
+    """A mining case with subsample set: a draw smaller or larger than the table."""
+    ds, config = draw(mining_cases())
+    size = draw(st.integers(1, 2 * ds.n))
+    return ds, dataclasses.replace(config, subsample=size, seed=draw(st.integers(0, 1000)))
+
+
+class TestSubsampleRecountProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(subsample_cases())
+    @example((categorical_dataset([2, 3], [[0, 1], [1, 2], [1, 1], [0, 0], [1, 2]], [0, 1, 1, 0, 1], 2),
+              MiningConfig(6, 3, subsample=3, seed=1)))
+    @example((categorical_dataset([2, 3], [[0, 1], [1, 2], [1, 1], [0, 0], [1, 2]], [0, 1, 2, 0, 1], 3),
+              MiningConfig(9, 4, per_class=True, scoring=Scoring.LIFT, subsample=4, seed=2)))
+    @example((categorical_dataset([3, 2], [[0, 1], [2, 0], [1, 1], [0, 0], [2, 1]], [0, 1, 1, 0, 1], 2),
+              MiningConfig(8, 4, per_class=True, scoring=Scoring.RELATIVE_CONFIDENCE,
+                           reluctant=True, subsample=7, seed=3)))
+    def test_recount_is_exact_on_the_full_data(self, case):
+        ds, config = case
+        result = mine_frequent(ds, config)
+        drawn = mine_frequent(subsample(ds, config.subsample, config.seed),
+                              dataclasses.replace(config, subsample=None))
+        if config.per_class:
+            pools = [result.per_class[c] for c in range(ds.num_classes)]
+            drawn_pools = [drawn.per_class[c] for c in range(ds.num_classes)]
+        else:
+            pools, drawn_pools = [result.itemsets], [drawn.itemsets]
+        for pool, drawn_pool in zip(pools, drawn_pools):
+            # selection ran on the draw; the recount only reorders the pool
+            assert len(pool) == len(drawn_pool)
+            assert {(i.antecedent, i.class_id) for i in pool} == {
+                (i.antecedent, i.class_id) for i in drawn_pool
+            }
+            assert [(-i.support, i.rank) for i in pool] == sorted((-i.support, i.rank) for i in pool)
+        for its in result.all_itemsets():
+            want = np.bincount(ds.labels[antecedent_mask(ds, its.antecedent)], minlength=ds.num_classes)
+            assert result.antecedent_class_counts(its.antecedent).tolist() == want.tolist()
+            assert its.support == want[its.class_id]
 
 
 def threshold_reference(ds, minsupp, minconf):
