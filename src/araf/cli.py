@@ -101,9 +101,11 @@ def _load(args) -> Dataset:
 
 
 def _check_k(args) -> None:
-    """Refuse a --k the discretizer cannot fit, before any file is opened."""
+    """Refuse a --k or --l the discretizer cannot fit, before any file is opened."""
     if args.k is not None and args.k < 2:
         raise UsageError("--k must be >= 2")
+    if args.l < 1:
+        raise UsageError("--l must be >= 1")
 
 
 def _binned(ds: Dataset, args) -> tuple[Dataset, list]:
@@ -296,6 +298,8 @@ def cmd_bench(args) -> int:
                          "which write their recovery table to --out")
     if args.variant == "freq" and args.d_conf is not None:
         raise UsageError("--d-conf does not apply to --variant freq, which selects no rules")
+    if args.variant == "freq" and args.no_eval:
+        raise UsageError("--no-eval does not apply to --variant freq, which evaluates nothing")
     from .bench import DEFAULTS, bench  # imported on use: only bench needs it
 
     # only a missing flag takes the default; 0 is a value
@@ -338,10 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version="araf %s" % __version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common_io(p, needs_label=True):
+    def add_common_io(p):
         p.add_argument("--input", required=True, help="input CSV with a header row")
-        if needs_label:
-            p.add_argument("--label", required=True, help="name of the label column")
+        p.add_argument("--label", required=True, help="name of the label column")
         p.add_argument(
             "--declare",
             action="append",
@@ -408,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--p", type=int, help="feature count (default 10 freq, 99 s1/s2)")
     b.add_argument("--d-freq", type=int, help="itemset capacity (default 5 freq, 45 s1/s2)")
     b.add_argument("--d-conf", type=int, help="rule count, s1/s2 only (default 5)")
-    b.add_argument("--no-eval", action="store_true", help="skip the logistic evaluation")
+    b.add_argument("--no-eval", action="store_true", help="skip the logistic evaluation, s1/s2 only")
     b.add_argument(
         "--out",
         required=True,

@@ -13,17 +13,18 @@ singletons. Ranks encode that order sparsely; their values are stable for a
 given schema, identical for the exhaustive reference miner, and unique
 within a run.
 
-Counting and selection run on arrays. An itemset is a row of parallel
-arrays (support, r1, r2): r1 is the rank of its first (or only) singleton,
-r2 the rank of its second singleton, or -1. Singletons are counted with one
+Counting and selection run on arrays. An itemset is a row (class, a, b)
+of item indices (see RankSpace); a singleton on item i is the row
+(c, i, i). Each row travels with its per-class antecedent counts, and its
+support is the entry for its own class. Singletons are counted with one
 bincount per block of rows. All candidate pairs are counted together, the
 vertical way of Eclat's tid-lists (Zaki 2000) and MAFIA's bitmaps (Burdick
 et al. 2001): each item holds a bit set of the rows it occurs in, and a
 pair's count is the popcount of the AND of its two items' bit sets. Counts
 are exact integers at any n. Python ClassItemsets are built only for the
 itemsets selected. A pool selected on a subsample is recounted exactly on
-the full data in a single bit-set pass over the survivors' items, a
-singleton on item i as the pair (i, i).
+the full data in a single bit-set pass over the survivors' items; a bit
+set ANDed with itself is itself, so a row (c, i, i) counts item i alone.
 """
 
 from __future__ import annotations
@@ -130,20 +131,18 @@ class RankSpace:
         self.num_classes = schema.num_classes
         self.pair_base = self.total_items * self.num_classes
 
-    def itemsets(self, support, r1, r2) -> list[ClassItemset]:
-        """The ClassItemsets of parallel (support, r1, r2) rows, in order."""
-        num_classes = self.num_classes
-        first, second = r1 // num_classes, np.maximum(r2, 0) // num_classes
-        firsts = zip(self.features[first].tolist(), self.categories[first].tolist())
-        seconds = zip(self.features[second].tolist(), self.categories[second].tolist())
-        out = []
-        for s, q1, q2, a, b in zip(support.tolist(), r1.tolist(), r2.tolist(), firsts, seconds):
-            if q2 < 0:
-                out.append(ClassItemset((a,), q1 % num_classes, s, q1))
-            else:
-                rank = self.pair_base * (1 + q1) + q2
-                out.append(ClassItemset((a, b), q1 % num_classes, s, rank))
-        return out
+    def itemsets(self, support, classes, a, b) -> list[ClassItemset]:
+        """The ClassItemsets of parallel (support, class, a, b) rows, in order.
+
+        A row with b == a is the singleton on item a; any other row is the
+        pair of items a < b.
+        """
+        r1 = a * self.num_classes + classes
+        ranks = np.where(a == b, r1, self.pair_base * (1 + r1) + b * self.num_classes + classes)
+        firsts = zip(self.features[a].tolist(), self.categories[a].tolist())
+        seconds = zip(self.features[b].tolist(), self.categories[b].tolist())
+        rows = zip(support.tolist(), classes.tolist(), ranks.tolist(), firsts, seconds)
+        return [ClassItemset((x,) if x == y else (x, y), c, s, r) for s, c, r, x, y in rows]
 
 
 def _distinct(values: np.ndarray):
@@ -176,7 +175,7 @@ def top_per_group(support, groups, capacity: int) -> np.ndarray:
     return order[place < capacity]
 
 
-def count_singletons(ds: Dataset, space: "RankSpace | None" = None) -> np.ndarray:
+def count_singletons(ds: Dataset) -> np.ndarray:
     """Every singleton's count, one bincount of (item, class) cells per block of rows.
 
     Returns the (total items, num classes) int64 array whose row
@@ -184,7 +183,7 @@ def count_singletons(ds: Dataset, space: "RankSpace | None" = None) -> np.ndarra
     observed are zero. Its ravel() is indexed by singleton rank.
     """
     ds.schema.require_categorical("mining")
-    space = space or RankSpace(ds.schema)
+    space = RankSpace(ds.schema)
     num_classes = ds.num_classes
     counts = np.zeros(space.total_items * num_classes, dtype=np.int64)
     base = space.offsets[:-1, None] * num_classes
@@ -219,7 +218,7 @@ def generate_pair_candidates(frequent, space: RankSpace) -> np.ndarray:
     return out[np.argsort(out[:, 1] * space.num_classes + out[:, 0], kind="stable")]
 
 
-def count_pairs(ds: Dataset, pairs, space: "RankSpace | None" = None) -> np.ndarray:
+def count_pairs(ds: Dataset, pairs) -> np.ndarray:
     """Joint per-class counts of two-item antecedents, one pass over the rows.
 
     pairs is an (m, 2) array of item indices (see RankSpace); row k of the
@@ -234,7 +233,7 @@ def count_pairs(ds: Dataset, pairs, space: "RankSpace | None" = None) -> np.ndar
     layout. A pair's class-c count is the popcount of the AND of its two
     items' words in class c's run, summed into int64.
     """
-    space = space or RankSpace(ds.schema)
+    space = RankSpace(ds.schema)
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     num_classes = ds.num_classes
     out = np.zeros((len(pairs), num_classes), dtype=np.int64)
@@ -268,26 +267,19 @@ def count_pairs(ds: Dataset, pairs, space: "RankSpace | None" = None) -> np.ndar
     return out
 
 
-def _count_candidates(ds: Dataset, space: RankSpace, singletons: np.ndarray, frequent):
+def _count_candidates(ds: Dataset, singletons: np.ndarray, frequent, space: RankSpace):
     """The frequent singletons and every candidate pair of them, counted on ds.
 
     frequent holds singleton ranks in ascending order. Returns the
-    (support, r1, r2) arrays of those itemsets in rank order, and the
-    distinct pairs counted, as sorted pair keys (first * total_items +
-    second) with their per-class counts.
+    (class, a, b) rows of those itemsets in rank order, each row's
+    per-class counts on ds, and the number of distinct pairs counted.
     """
-    classes, first, second = generate_pair_candidates(frequent, space).T
-    keys, inverse = _distinct(first * space.total_items + second)
-    counts = count_pairs(ds, np.column_stack(np.divmod(keys, space.total_items)), space)
-    support = np.concatenate([singletons.ravel()[frequent], counts[inverse, classes]])
-    r1 = np.concatenate([frequent, first * space.num_classes + classes])
-    r2 = np.concatenate([np.full(len(frequent), -1), second * space.num_classes + classes])
-    return (support, r1, r2), keys, counts
-
-
-def _pair_keys(space: RankSpace, r1, r2) -> np.ndarray:
-    """Pair keys of pair rows given by singleton ranks."""
-    return r1 // space.num_classes * space.total_items + r2 // space.num_classes
+    items = frequent // space.num_classes
+    pairs = generate_pair_candidates(frequent, space)
+    keys, inverse = _distinct(pairs[:, 1] * space.total_items + pairs[:, 2])
+    pair_counts = count_pairs(ds, np.column_stack(np.divmod(keys, space.total_items)))
+    rows = np.concatenate([np.column_stack([frequent % space.num_classes, items, items]), pairs])
+    return rows, np.concatenate([singletons[items], pair_counts[inverse]]), len(keys)
 
 
 @dataclass
@@ -337,28 +329,37 @@ class MiningResult:
         return got
 
 
-def _table_counts(space: RankSpace, r1, r2, singletons, keys, pair_counts) -> np.ndarray:
-    """Per-class counts of itemset rows (r1, r2) from the singleton table and sorted pair keys."""
-    is_pair = r2 >= 0
-    counts = singletons[r1 // space.num_classes]
-    counts[is_pair] = pair_counts[np.searchsorted(keys, _pair_keys(space, r1[is_pair], r2[is_pair]))]
-    return counts
+def _support(rows, counts) -> np.ndarray:
+    """Each (class, a, b) row's count in its own class."""
+    return counts[np.arange(len(rows)), rows[:, 0]]
 
 
-def _result(
-    ds: Dataset, space: RankSpace, per_class: bool, selected, counts, pair_entries
-) -> MiningResult:
-    """The MiningResult of the selected itemset rows (support, r1, r2).
+def _mine(ds: Dataset, count_ds: Dataset, pick, per_class: bool) -> MiningResult:
+    """Count singletons, pick, count their pairs, pick again; return the picks.
 
-    Rows come grouped by ascending class when per_class is set. counts holds
-    each row's full-data per-class antecedent counts; pair_entries is the
-    number of distinct pairs counted during selection.
+    pick(support, classes) takes rows in rank order and returns the indices
+    of those it keeps, grouped by ascending class when per_class is set.
+    Selection counts on count_ds. When that is not ds, the rows kept are
+    recounted on ds in one count_pairs call and picked again.
     """
-    support, r1, r2 = selected
-    itemsets = space.itemsets(support, r1, r2)
+    singletons = count_singletons(count_ds)
+    space = RankSpace(ds.schema)
+    support = singletons.ravel()
+    # a singleton left out of its pool stays out once pairs join the race
+    frequent = np.sort(pick(support, np.arange(len(support)) % space.num_classes))
+    rows, counts, pair_entries = _count_candidates(count_ds, singletons, frequent, space)
+    keep = pick(_support(rows, counts), rows[:, 0])
+    if count_ds is not ds:
+        # selection was approximate; recount what survived on the full data
+        rows = rows[np.sort(keep)]  # back in rank order
+        keys, inverse = _distinct(rows[:, 1] * space.total_items + rows[:, 2])
+        counts = count_pairs(ds, np.column_stack(np.divmod(keys, space.total_items)))[inverse]
+        keep = pick(_support(rows, counts), rows[:, 0])
+    rows, counts = rows[keep], counts[keep]
+    itemsets = space.itemsets(_support(rows, counts), *rows.T)
     grouped = None
     if per_class:
-        bounds = np.searchsorted(r1 % space.num_classes, np.arange(space.num_classes + 1)).tolist()
+        bounds = np.searchsorted(rows[:, 0], np.arange(space.num_classes + 1)).tolist()
         grouped = {c: itemsets[bounds[c] : bounds[c + 1]] for c in range(space.num_classes)}
     return MiningResult(
         schema=ds.schema,
@@ -381,39 +382,17 @@ def mine_frequent(ds: Dataset, config: MiningConfig) -> MiningResult:
     count_pairs pass over the full data, a singleton on item i as the pair
     (i, i); no whole-table singleton count is made.
     """
-    space = RankSpace(ds.schema)
-    num_classes = ds.num_classes
     count_ds = ds
     if config.subsample is not None:
         count_ds = subsample(ds, config.subsample, config.seed)
     # global mode is per-class mode with every class in group 0
-    capacity = config.per_class_capacity(num_classes) if config.per_class else config.d_freq
+    capacity = config.per_class_capacity(ds.num_classes) if config.per_class else config.d_freq
 
-    def top(support, r1):
-        groups = r1 % num_classes if config.per_class else np.zeros_like(r1)
+    def top(support, classes):
+        groups = classes if config.per_class else np.zeros_like(classes)
         return top_per_group(support, groups, capacity)
 
-    singletons = count_singletons(count_ds, space)
-    support = singletons.ravel()
-    # a singleton outside its group's pool stays out once pairs join the race
-    frequent = np.sort(top(support, np.arange(len(support))))
-    (support, r1, r2), keys, counts = _count_candidates(count_ds, space, singletons, frequent)
-    keep = top(support, r1)
-    pair_entries = len(keys)
-
-    if config.subsample is None:
-        counts = _table_counts(space, r1[keep], r2[keep], singletons, keys, counts)
-    else:
-        # selection was approximate; recount what survived on the full data
-        keep = np.sort(keep)  # back in rank order
-        r1, r2 = r1[keep], r2[keep]
-        keys, rows = _distinct(_pair_keys(space, r1, np.where(r2 < 0, r1, r2)))
-        counts = count_pairs(ds, np.column_stack(np.divmod(keys, space.total_items)), space)[rows]
-        support = counts[np.arange(len(r1)), r1 % num_classes]
-        keep = top(support, r1)
-        counts = counts[keep]
-    selected = support[keep], r1[keep], r2[keep]
-    return _result(ds, space, config.per_class, selected, counts, pair_entries)
+    return _mine(ds, count_ds, top, config.per_class)
 
 
 def mine_with_thresholds(ds: Dataset, minsupp: float) -> MiningResult:
@@ -427,12 +406,5 @@ def mine_with_thresholds(ds: Dataset, minsupp: float) -> MiningResult:
     """
     if not 0 < minsupp <= 1:
         raise UsageError("minsupp must lie in (0, 1]")
-    space = RankSpace(ds.schema)
-    singletons = count_singletons(ds, space)
     floor = minsupp * ds.n - 1e-9
-    frequent = np.flatnonzero(singletons.ravel() >= floor)
-    (support, r1, r2), keys, counts = _count_candidates(ds, space, singletons, frequent)
-    kept = support >= floor  # rows are in rank order
-    selected = support[kept], r1[kept], r2[kept]
-    counts = _table_counts(space, r1[kept], r2[kept], singletons, keys, counts)
-    return _result(ds, space, False, selected, counts, len(keys))
+    return _mine(ds, ds, lambda support, classes: np.flatnonzero(support >= floor), False)

@@ -422,8 +422,9 @@ class TestBench:
     )
     def test_zero_flag_is_not_replaced_by_the_default(self, variant, flag, message, tmp_path, capsys):
         out = tmp_path / "metrics.csv"
-        argv = ["bench", "--variant", variant, "--trials", "1", "--no-eval", flag, "0",
-                "--out", str(out)]
+        argv = ["bench", "--variant", variant, "--trials", "1", flag, "0", "--out", str(out)]
+        if variant != "freq":
+            argv.append("--no-eval")
         if flag != "--n":
             argv += ["--n", "60"]
         assert main(argv) == 2
@@ -438,7 +439,9 @@ class TestBench:
     )
     def test_manifest_records_the_defaults(self, variant, sizes, tmp_path):
         out = str(tmp_path / "recovery.csv")
-        argv = ["bench", "--variant", variant, "--trials", "1", "--no-eval", "--out", out]
+        argv = ["bench", "--variant", variant, "--trials", "1", "--out", out]
+        if variant != "freq":
+            argv.append("--no-eval")
         assert main(argv) == 0
         params = read_manifest(out)["params"]
         assert tuple(params[k] for k in ("n", "p", "d_freq", "d_conf") if k in params) == sizes
@@ -477,6 +480,15 @@ class TestBench:
                 "--out", str(tmp_path / "recovery.csv")]
         assert main(argv) == 2
         assert "--d-conf does not apply to --variant freq" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_no_eval_is_refused_for_freq(self, tmp_path, capsys):
+        argv = ["bench", "--variant", "freq", "--trials", "1", "--n", "500", "--no-eval",
+                "--out", str(tmp_path / "recovery.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "usage error: --no-eval does not apply to --variant freq, which evaluates nothing\n"
+        )
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize(
@@ -718,10 +730,15 @@ class TestErrors:
             (["mine", "--k", "1", "--out-rules"], "--k must be >= 2"),
             (["transform", "--k", "1", "--rules", "r.jsonl", "--mode", "label", "--out"],
              "--k must be >= 2"),
+            (["discretize", "--k", "4", "--l", "0", "--out-data"], "--l must be >= 1"),
+            (["mine", "--k", "4", "--l", "0", "--out-rules"], "--l must be >= 1"),
+            (["transform", "--k", "4", "--l", "0", "--rules", "r.jsonl", "--mode", "label",
+              "--out"], "--l must be >= 1"),
             (["mine", "--reluctant", "--scoring", "conf", "--out-rules"],
              "--reluctant requires rconf scoring"),
         ],
-        ids=["discretize-k", "mine-k", "transform-k", "mine-reluctant-conf"],
+        ids=["discretize-k", "mine-k", "transform-k", "discretize-l", "mine-l", "transform-l",
+             "mine-reluctant-conf"],
     )
     def test_bad_flag_is_refused_before_any_file_is_touched(self, argv, message, tmp_path, capsys):
         # the input does not exist, so reading it would exit 3

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from araf import mining
-from araf.bench import brute_force_topk
+from araf.bench import _oracle_ranks, brute_force_topk
 from araf.data import binary_dataset, Column, ColumnKind, Dataset, Schema
 from araf.errors import UsageError
 from araf.mining import (
@@ -110,32 +110,35 @@ class TestRankSpace:
         rng = np.random.default_rng(3)
         ds = random_dataset(rng, n=40, p=4)
         space = RankSpace(ds.schema)
+        num_classes = ds.num_classes
+        # every singleton row (c, i, i), then every same-class pair of items
+        # over distinct features, in every class
         items = np.arange(space.total_items)
-        singles = np.arange(space.pair_base)
-        # every same-class pair of items over distinct features, by singleton ranks
         a, b = np.triu_indices(space.total_items, 1)
         distinct = space.features[a] != space.features[b]
-        a, b = a[distinct], b[distinct]
-        c = np.repeat(np.arange(ds.num_classes), len(a))
-        r1 = np.tile(a, ds.num_classes) * ds.num_classes + c
-        r2 = np.tile(b, ds.num_classes) * ds.num_classes + c
-        support = np.zeros(len(singles) + len(r1), dtype=np.int64)
-        itemsets = space.itemsets(
-            support, np.concatenate([singles, r1]), np.concatenate([np.full(len(singles), -1), r2])
-        )
-        singles = [its.rank for its in itemsets if its.size == 1]
-        pairs = [its.rank for its in itemsets if its.size == 2]
-        assert len(singles) == len(items) * ds.num_classes
-        assert len(set(singles)) == len(singles)
-        assert len(set(pairs)) == len(pairs)
-        # every single-item rank precedes every pair rank
-        assert max(singles) < min(pairs)
-        # each itemset names the items and the class its ranks encode
-        for its in itemsets:
+        a = np.concatenate([items, a[distinct]])
+        b = np.concatenate([items, b[distinct]])
+        classes = np.repeat(np.arange(num_classes), len(a))
+        a, b = np.tile(a, num_classes), np.tile(b, num_classes)
+        itemsets = space.itemsets(np.zeros(len(a), dtype=np.int64), classes, a, b)
+        rank_of = _oracle_ranks([len(col.categories) for col in ds.schema.features], num_classes)
+        for its, c, x, y in zip(itemsets, classes.tolist(), a.tolist(), b.tolist()):
+            # each itemset names the items and the class of its row
+            assert its.class_id == c
+            names = [(int(space.features[i]), int(space.categories[i])) for i in {x, y}]
+            assert its.antecedent == tuple(sorted(names))
+            assert its.rank == rank_of(its.antecedent, c)
             for f, cat in its.antecedent:
                 assert 0 <= cat < len(ds.schema.features[f].categories)
             if its.size == 2:
                 assert its.antecedent[0][0] < its.antecedent[1][0]
+        singles = [its.rank for its in itemsets if its.size == 1]
+        pairs = [its.rank for its in itemsets if its.size == 2]
+        assert len(singles) == space.total_items * num_classes
+        assert len(set(singles)) == len(singles)
+        assert len(set(pairs)) == len(pairs)
+        # every single-item rank precedes every pair rank
+        assert max(singles) < min(pairs)
 
 
 def select(supports, ranks, capacity, pairs=()):
@@ -641,3 +644,17 @@ class TestThresholdMining:
             mine_with_thresholds(ds, 0.0)
         with pytest.raises(UsageError):
             generate_rules_threshold(mine_with_thresholds(ds, 0.5), 1.5)
+
+    def test_counts_once_each_on_the_full_data(self, monkeypatch):
+        rows = {"count_singletons": [], "count_pairs": []}
+        for name, real in [("count_singletons", count_singletons), ("count_pairs", count_pairs)]:
+            def spy(ds, *args, name=name, real=real):
+                rows[name].append(ds.n)
+                return real(ds, *args)
+
+            monkeypatch.setattr(mining, name, spy)
+        ds = random_dataset(np.random.default_rng(31), n=400)
+        result = mine_with_thresholds(ds, 0.05)
+        assert any(its.size == 2 for its in result.all_itemsets())
+        # one singleton count and one pair count, both over all 400 rows
+        assert rows == {"count_singletons": [400], "count_pairs": [400]}

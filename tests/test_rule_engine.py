@@ -178,8 +178,8 @@ class TestReluctantGate:
         config = MiningConfig(4, 2, per_class=True, reluctant=True)
         space = RankSpace(ds.schema)
         ant = ((0, 1), (1, 1))
-        # singletons (0,1) and (1,1) in class 0 have ranks 2 and 6: item index * 2 classes
-        (its,) = space.itemsets(np.array([2]), np.array([2]), np.array([6]))
+        # items (0,1) and (1,1) have indices 1 and 3; the row is (class 0, 1, 3)
+        (its,) = space.itemsets(np.array([2]), np.array([0]), np.array([1]), np.array([3]))
         assert (its.antecedent, its.class_id) == (ant, 0)
         pool = {0: [its], 1: []}
         result = small_result(pool, ds)
