@@ -91,8 +91,12 @@ def _parse_declares(pairs: "list[str] | None") -> "dict[str, ColumnKind] | None"
 
 
 def _load(args) -> Dataset:
-    declared = _parse_declares(getattr(args, "declare", None))
-    if getattr(args, "assume_categorical", False):
+    declared = _parse_declares(args.declare)
+    if args.assume_categorical:
+        for name, kind in (declared or {}).items():
+            # the label keeps its own message, from load_csv
+            if kind is ColumnKind.CONTINUOUS and name != args.label:
+                raise UsageError("--declare %s=continuous contradicts --assume-categorical" % name)
         with open_csv(args.input) as reader:
             header = next(reader, [])
         declared = dict(declared or {})
@@ -101,11 +105,19 @@ def _load(args) -> Dataset:
 
 
 def _check_k(args) -> None:
-    """Refuse a --k or --l the discretizer cannot fit, before any file is opened."""
+    """Refuse a --k or --l the discretizer cannot fit, before any file is opened.
+
+    --l without --k would bin nothing, so it is refused too. With --k, a
+    missing --l resolves to 10 here, so that the manifest records it.
+    """
     if args.k is not None and args.k < 2:
         raise UsageError("--k must be >= 2")
-    if args.l < 1:
+    if args.l is not None and args.l < 1:
         raise UsageError("--l must be >= 1")
+    if args.l is not None and args.k is None:
+        raise UsageError("--l applies only with --k")
+    if args.k is not None and args.l is None:
+        args.l = 10
 
 
 def _binned(ds: Dataset, args) -> tuple[Dataset, list]:
@@ -220,6 +232,7 @@ def cmd_mine(args) -> int:
             "input": args.input,
             "label": args.label,
             "k": args.k,
+            "l": args.l,
             "seed": args.seed,
             "n": ds.n,
             "p": ds.p,
@@ -278,6 +291,7 @@ def cmd_transform(args) -> int:
             "label": args.label,
             "mode": args.mode,
             "k": args.k,
+            "l": args.l,
             "features": len(names),
         },
         inputs,
@@ -360,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("discretize", help="entropy-based binning of continuous columns")
     add_common_io(d)
     d.add_argument("--k", type=int, required=True, help="number of intervals per column")
-    d.add_argument("--l", type=int, default=10, help="candidate cut points per round (default 10)")
+    d.add_argument("--l", type=int, help="candidate cut points per round (default 10)")
     d.add_argument("--out-data", required=True, help="output CSV with binned columns")
     d.add_argument("--out-map", help="optional JSON file for the fitted thresholds")
     d.set_defaults(func=cmd_discretize)
@@ -385,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--subsample", type=int, help="mine on a bootstrap subsample of this size")
     m.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     m.add_argument("--k", type=int, help="discretize continuous columns into this many intervals first")
-    m.add_argument("--l", type=int, default=10, help="candidate cut points (default 10)")
+    m.add_argument("--l", type=int, help="candidate cut points, with --k only (default 10)")
     m.add_argument("--out-rules", required=True, help="output rules file (JSON lines)")
     m.set_defaults(func=cmd_mine)
 
@@ -399,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="label: encoded originals + all rule indicators; onehot: one-hot originals + pair indicators",
     )
     t.add_argument("--k", type=int, help="discretize continuous columns first (must match mining)")
-    t.add_argument("--l", type=int, default=10)
+    t.add_argument("--l", type=int, help="candidate cut points, with --k only (default 10)")
     t.add_argument("--out", required=True, help="output CSV feature matrix")
     t.set_defaults(func=cmd_transform)
 

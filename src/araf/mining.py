@@ -21,16 +21,16 @@ bincount per block of rows. All candidate pairs are counted together, the
 vertical way of Eclat's tid-lists (Zaki 2000) and MAFIA's bitmaps (Burdick
 et al. 2001): each item holds a bit set of the rows it occurs in, and a
 pair's count is the popcount of the AND of its two items' bit sets. Counts
-are exact integers at any n. Python ClassItemsets are built only for the
-itemsets selected. A pool selected on a subsample is recounted exactly on
-the full data in a single bit-set pass over the survivors' items; a bit
-set ANDed with itself is itself, so a row (c, i, i) counts item i alone.
+are exact integers at any n. A pool selected on a subsample is recounted
+exactly on the full data in a single bit-set pass over the survivors'
+items; a bit set ANDed with itself is itself, so a row (c, i, i) counts
+item i alone. The result holds the selected rows and their count arrays.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,10 +115,11 @@ def canonical_antecedent(items) -> Antecedent:
 class RankSpace:
     """Item indices and ranks of a schema's itemsets.
 
-    Item i is category categories[i] of feature features[i]; a feature's
-    items are offsets[f] .. offsets[f + 1] - 1. Singleton (item i, class c)
-    has rank i * num_classes + c; a pair whose singletons have ranks
-    r1 < r2 has rank pair_base * (1 + r1) + r2, above every singleton.
+    Item i is category categories[i] of feature features[i], the pair
+    items[i]; a feature's items are offsets[f] .. offsets[f + 1] - 1.
+    Singleton (item i, class c) has rank i * num_classes + c; a pair whose
+    singletons have ranks r1 < r2 has rank pair_base * (1 + r1) + r2, above
+    every singleton.
     """
 
     def __init__(self, schema: Schema) -> None:
@@ -128,21 +129,28 @@ class RankSpace:
         self.total_items = int(self.offsets[-1])
         self.features = np.repeat(np.arange(len(sizes)), sizes)
         self.categories = np.arange(self.total_items) - self.offsets[self.features]
+        self.items = list(zip(self.features.tolist(), self.categories.tolist()))
         self.num_classes = schema.num_classes
         self.pair_base = self.total_items * self.num_classes
 
-    def itemsets(self, support, classes, a, b) -> list[ClassItemset]:
-        """The ClassItemsets of parallel (support, class, a, b) rows, in order.
+    def ranks(self, classes, a, b) -> np.ndarray:
+        """The ranks of parallel (class, a, b) rows.
 
         A row with b == a is the singleton on item a; any other row is the
         pair of items a < b.
         """
         r1 = a * self.num_classes + classes
-        ranks = np.where(a == b, r1, self.pair_base * (1 + r1) + b * self.num_classes + classes)
-        firsts = zip(self.features[a].tolist(), self.categories[a].tolist())
-        seconds = zip(self.features[b].tolist(), self.categories[b].tolist())
-        rows = zip(support.tolist(), classes.tolist(), ranks.tolist(), firsts, seconds)
-        return [ClassItemset((x,) if x == y else (x, y), c, s, r) for s, c, r, x, y in rows]
+        return np.where(a == b, r1, self.pair_base * (1 + r1) + b * self.num_classes + classes)
+
+    def antecedent(self, a: int, b: int) -> Antecedent:
+        """The (feature, category) items of a row's a and b; item a alone when b == a."""
+        return (self.items[a],) if a == b else (self.items[a], self.items[b])
+
+    def itemsets(self, support, classes, a, b) -> list[ClassItemset]:
+        """The ClassItemsets of parallel (support, class, a, b) rows, in order."""
+        ranks = self.ranks(classes, a, b)
+        rows = zip(support.tolist(), classes.tolist(), ranks.tolist(), a.tolist(), b.tolist())
+        return [ClassItemset(self.antecedent(x, y), c, s, r) for s, c, r, x, y in rows]
 
 
 def _distinct(values: np.ndarray):
@@ -241,7 +249,7 @@ def count_pairs(ds: Dataset, pairs) -> np.ndarray:
         return out
     used, local = _distinct(pairs.ravel())
     first, second = local.reshape(pairs.shape).T
-    items = list(zip(space.features[used].tolist(), space.categories[used].tolist()))
+    items = [space.items[i] for i in used.tolist()]
     label_dtype = np.min_scalar_type(num_classes)  # small, so the stable sort is a radix sort
     for lo in range(0, ds.n, BLOCK_ROWS):
         labels = ds.labels[lo : lo + BLOCK_ROWS]
@@ -295,43 +303,50 @@ class TableStats:
     pair_entries: int
 
 
-@dataclass
-class MiningResult:
-    """Frequent itemsets plus the count tables needed to score rules.
-
-    Exactly one of itemsets (global mode) or per_class (per-class mode) is
-    populated. Supports, n and class_totals are counts on the full data,
-    also when selection ran on a subsample. _counts maps the antecedent of
-    every selected itemset, and only those, to its per-class counts.
-    """
-
-    schema: Schema
-    n: int
-    class_totals: np.ndarray
-    itemsets: "list[ClassItemset] | None"
-    per_class: "dict[int, list[ClassItemset]] | None"
-    table_stats: TableStats
-    _counts: dict = field(repr=False, default_factory=dict)
-
-    def all_itemsets(self) -> list[ClassItemset]:
-        if self.itemsets is not None:
-            return list(self.itemsets)
-        out: list[ClassItemset] = []
-        for c in sorted(self.per_class):
-            out.extend(self.per_class[c])
-        return out
-
-    def antecedent_class_counts(self, antecedent: Antecedent) -> np.ndarray:
-        """Support of antecedent jointly with each class."""
-        got = self._counts.get(antecedent)
-        if got is None:
-            raise DataError("antecedent %r was never counted" % (antecedent,))
-        return got
-
-
 def _support(rows, counts) -> np.ndarray:
     """Each (class, a, b) row's count in its own class."""
     return counts[np.arange(len(rows)), rows[:, 0]]
+
+
+@dataclass
+class MiningResult:
+    """The selected itemsets as (class, a, b) rows of item indices of space.
+
+    Row i has per-class antecedent counts counts[i], its support among them,
+    and rank ranks[i]. In per-class mode (class_pools) rows come grouped by
+    ascending class, each pool strongest first. Counts, n and class_totals
+    are on the full data, also when selection ran on a subsample. The
+    ClassItemset views are built on each read: itemsets in global mode,
+    per_class in per-class mode.
+    """
+
+    space: RankSpace
+    n: int
+    class_totals: np.ndarray
+    rows: np.ndarray
+    counts: np.ndarray
+    ranks: np.ndarray
+    table_stats: TableStats
+    class_pools: bool
+
+    @property
+    def support(self) -> np.ndarray:
+        return _support(self.rows, self.counts)
+
+    def all_itemsets(self) -> list[ClassItemset]:
+        return self.space.itemsets(self.support, *self.rows.T)
+
+    @property
+    def itemsets(self) -> "list[ClassItemset] | None":
+        return None if self.class_pools else self.all_itemsets()
+
+    @property
+    def per_class(self) -> "dict[int, list[ClassItemset]] | None":
+        if not self.class_pools:
+            return None
+        itemsets = self.all_itemsets()
+        classes = range(self.space.num_classes)
+        return {c: [its for its in itemsets if its.class_id == c] for c in classes}
 
 
 def _mine(ds: Dataset, count_ds: Dataset, pick, per_class: bool) -> MiningResult:
@@ -355,20 +370,16 @@ def _mine(ds: Dataset, count_ds: Dataset, pick, per_class: bool) -> MiningResult
         keys, inverse = _distinct(rows[:, 1] * space.total_items + rows[:, 2])
         counts = count_pairs(ds, np.column_stack(np.divmod(keys, space.total_items)))[inverse]
         keep = pick(_support(rows, counts), rows[:, 0])
-    rows, counts = rows[keep], counts[keep]
-    itemsets = space.itemsets(_support(rows, counts), *rows.T)
-    grouped = None
-    if per_class:
-        bounds = np.searchsorted(rows[:, 0], np.arange(space.num_classes + 1)).tolist()
-        grouped = {c: itemsets[bounds[c] : bounds[c + 1]] for c in range(space.num_classes)}
+    rows = rows[keep]
     return MiningResult(
-        schema=ds.schema,
+        space=space,
         n=ds.n,
         class_totals=ds.class_counts(),
-        itemsets=None if per_class else itemsets,
-        per_class=grouped,
+        rows=rows,
+        counts=counts[keep],
+        ranks=space.ranks(*rows.T),
         table_stats=TableStats(space.total_items, pair_entries),
-        _counts={its.antecedent: row for its, row in zip(itemsets, counts)},
+        class_pools=per_class,
     )
 
 

@@ -6,23 +6,25 @@ supported: confidence (the posterior of c given X), relative confidence
 lift. Selection keeps the d_conf best by score, ties toward the rule whose
 itemset was enumerated first.
 
-The reluctant variant walks each class's itemsets in support order, admits
-main effects freely, and admits an interaction only when it strictly beats
-every one of its admitted main effects, so an interaction never displaces
-an equally good simpler rule.
+Scoring and selection run on the mining result's arrays: one pass scores
+every row, a selection is one sort, and a Rule is built only for each rule
+returned. The reluctant variant keeps every main effect and keeps an
+interaction (X1 & X2, c) unless a main effect (X1, c) or (X2, c) of the
+same pool scores at least as high, so an interaction never displaces an
+equally good simpler rule.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from heapq import nsmallest
+
+import numpy as np
 
 from .data import Schema
 from .errors import DataError, UsageError
 from .mining import (
     Antecedent,
-    ClassItemset,
     MiningConfig,
     MiningResult,
     Scoring,
@@ -49,24 +51,18 @@ class Rule:
     rank: int
 
     @property
-    def antecedent_support(self) -> int:
-        return int(sum(self.antecedent_class_counts))
-
-    @property
     def size(self) -> int:
         return len(self.antecedent)
 
 
-def confidence(support: int, antecedent_support: int) -> float:
+def confidence(support, antecedent_support):
     """Fraction of antecedent occurrences that carry the rule's class."""
-    if antecedent_support == 0:
+    if np.any(np.equal(antecedent_support, 0)):
         raise DataError("confidence undefined: antecedent never occurs")
     return support / antecedent_support
 
 
-def relative_confidence(
-    support: int, antecedent_support: int, class_support: int, n: int
-) -> float:
+def relative_confidence(support, antecedent_support, class_support, n: int):
     """Posterior odds of the class given the antecedent over its prior odds.
 
     Computed from supports as s/(s_x - s + eps) * (n - s_y)/(s_y + eps)
@@ -78,99 +74,92 @@ def relative_confidence(
     )
 
 
-def lift(conf: float, class_support: int, n: int) -> float:
+def lift(conf, class_support, n: int):
     """Confidence over the class prior."""
-    if class_support == 0:
+    if np.any(np.equal(class_support, 0)):
         raise DataError("lift undefined: class never occurs")
     return conf / (class_support / n)
 
 
-def score_rule(rule: Rule, scoring: Scoring) -> float:
-    if scoring is Scoring.CONFIDENCE:
-        return rule.confidence
-    if scoring is Scoring.RELATIVE_CONFIDENCE:
-        return rule.rconf
-    return rule.lift
+class Scores:
+    """Every rule a mining result offers, scored in one pass over its rows.
 
-
-def build_rule(its: ClassItemset, result: MiningResult) -> "Rule | None":
-    """Score one itemset against the mining counts.
-
-    Returns None for itemsets whose antecedent never occurs (possible when
-    the capacity exceeds the itemset universe); such a rule says nothing.
+    Entry k is the k-th result row whose antecedent occurs; a row whose
+    antecedent never occurs (possible when the capacity exceeds the itemset
+    universe) says nothing and is dropped. The three score functions above
+    take counts or count arrays alike; counts are int64 below 2**53, so each
+    score equals the function's result on the same counts as Python ints.
     """
-    counts = result.antecedent_class_counts(its.antecedent)
-    total = int(counts.sum())
-    if total == 0:
-        return None
-    class_support = int(result.class_totals[its.class_id])
-    conf = confidence(its.support, total)
-    rc = relative_confidence(its.support, total, class_support, result.n)
-    # a rule for a class absent from the data scores zero rather than erroring
-    lf = lift(conf, class_support, result.n) if class_support > 0 else 0.0
+
+    def __init__(self, result: MiningResult) -> None:
+        total = result.counts.sum(axis=1)
+        occurs = total > 0
+        self.space = result.space
+        self.rows, self.counts = result.rows[occurs], result.counts[occurs]
+        self.ranks, self.support, total = result.ranks[occurs], result.support[occurs], total[occurs]
+        class_support = result.class_totals[self.rows[:, 0]]
+        self.confidence = confidence(self.support, total)
+        self.rconf = relative_confidence(self.support, total, class_support, result.n)
+        # a rule for a class absent from the data scores zero rather than erroring
+        self.lift = np.zeros(len(self.rows))
+        present = class_support > 0
+        self.lift[present] = lift(self.confidence[present], class_support[present], result.n)
+
+    def of(self, scoring: Scoring) -> np.ndarray:
+        if scoring is Scoring.CONFIDENCE:
+            return self.confidence
+        if scoring is Scoring.RELATIVE_CONFIDENCE:
+            return self.rconf
+        return self.lift
+
+
+def build_rule(scores: Scores, k: int) -> Rule:
+    """The Rule of entry k of scores; made only for the rules a selection returns."""
+    c, a, b = scores.rows[k].tolist()
     return Rule(
-        antecedent=its.antecedent,
-        class_id=its.class_id,
-        support=its.support,
-        antecedent_class_counts=tuple(int(v) for v in counts),
-        confidence=conf,
-        rconf=rc,
-        lift=lf,
-        rank=its.rank,
+        antecedent=scores.space.antecedent(a, b),
+        class_id=c,
+        support=int(scores.support[k]),
+        antecedent_class_counts=tuple(scores.counts[k].tolist()),
+        confidence=float(scores.confidence[k]),
+        rconf=float(scores.rconf[k]),
+        lift=float(scores.lift[k]),
+        rank=int(scores.ranks[k]),
     )
 
 
-def _build_all(result: MiningResult) -> list[Rule]:
-    rules = []
-    for its in result.all_itemsets():
-        rule = build_rule(its, result)
-        if rule is not None:
-            rules.append(rule)
-    return rules
-
-
-def _top(rules: list[Rule], d_conf: int, scoring: Scoring) -> list[Rule]:
-    return nsmallest(d_conf, rules, key=lambda r: (-score_rule(r, scoring), r.rank))
+def _top(scores: Scores, keep: np.ndarray, config: MiningConfig) -> list[Rule]:
+    """The config.d_conf best of the entries keep, by score and then rank."""
+    keep = keep[np.lexsort((scores.ranks[keep], -scores.of(config.scoring)[keep]))]
+    return [build_rule(scores, k) for k in keep[: config.d_conf].tolist()]
 
 
 def select_rules(result: MiningResult, config: MiningConfig) -> list[Rule]:
     """One rule per frequent itemset, then the d_conf best by score."""
-    return _top(_build_all(result), config.d_conf, config.scoring)
+    scores = Scores(result)
+    return _top(scores, np.arange(len(scores.rows)), config)
 
 
 def select_rules_reluctant(result: MiningResult, config: MiningConfig) -> list[Rule]:
     """Interaction-averse selection over per-class mining output.
 
-    Classes are walked in id order and each class's itemsets in support
-    order (main effects therefore precede their own interactions, since an
-    interaction's support never exceeds a parent's). Main effects join the
-    pool unconditionally; an interaction joins only if, for each of its two
-    parent main effects, the parent is absent from the pool or the
-    interaction's score strictly exceeds the parent's. Equal-scoring
-    redundant interactions are thus dropped. Output is the d_conf best.
+    Every main effect is kept. An interaction (c, a, b) is kept unless the
+    main effect (c, a, a) or (c, b, b) is in class c's pool and scores at
+    least as high, so an equal-scoring redundant interaction is dropped and
+    one whose main effects were not mined is kept. The condition reads no
+    order. Output is the d_conf best.
     """
-    if result.per_class is None:
+    if not result.class_pools:
         raise UsageError("reluctant selection needs per-class mining output")
-    pool: dict[tuple[Antecedent, int], Rule] = {}
-    for c in sorted(result.per_class):
-        for its in result.per_class[c]:
-            rule = build_rule(its, result)
-            if rule is None:
-                continue
-            if rule.size == 1:
-                pool[(rule.antecedent, c)] = rule
-                continue
-            admissible = True
-            for item in rule.antecedent:
-                parent = pool.get(((item,), c))
-                if parent is not None and not (
-                    score_rule(rule, config.scoring) > score_rule(parent, config.scoring)
-                ):
-                    admissible = False
-                    break
-            if admissible:
-                pool[(rule.antecedent, c)] = rule
-    return _top(list(pool.values()), config.d_conf, config.scoring)
+    scores = Scores(result)
+    score, space = scores.of(config.scoring), scores.space
+    classes, a, b = scores.rows.T
+    single = a == b
+    # best[r] is the score of the pool's main effect of singleton rank r, if any
+    best = np.full(space.pair_base, -np.inf)
+    best[scores.ranks[single]] = score[single]
+    parents = np.maximum(best[space.ranks(classes, a, a)], best[space.ranks(classes, b, b)])
+    return _top(scores, np.flatnonzero(single | (score > parents)), config)
 
 
 def generate_rules_threshold(result: MiningResult, minconf: float) -> list[Rule]:
@@ -181,11 +170,9 @@ def generate_rules_threshold(result: MiningResult, minconf: float) -> list[Rule]
     """
     if not 0 <= minconf <= 1:
         raise UsageError("minconf must lie in [0, 1]")
-    rules = [
-        r for r in _build_all(result) if r.confidence + 1e-12 >= minconf
-    ]
-    rules.sort(key=lambda r: r.rank)
-    return rules
+    scores = Scores(result)
+    keep = np.flatnonzero(scores.confidence + 1e-12 >= minconf)
+    return [build_rule(scores, k) for k in keep[np.argsort(scores.ranks[keep])].tolist()]
 
 
 # -- serialization -------------------------------------------------------------

@@ -23,7 +23,7 @@ from araf.bench import (
 from araf.data import Column, ColumnKind, Dataset, Schema
 from araf.features import suggest_params
 from araf.mining import MiningConfig, Scoring, mine_frequent
-from araf.rules import _build_all, score_rule, select_rules, select_rules_reluctant
+from araf.rules import Scores, build_rule, select_rules, select_rules_reluctant
 from araf.sampling import estimate_frequencies, required_sample_size
 
 DETAILS = {}
@@ -156,9 +156,10 @@ def test_criterion_3_s2_redundancy_exclusion():
         ds = generate("s2", n=1000, seed=BASE_SEED + t)
         result = mine_frequent(ds, config)
         rules = select_rules_reluctant(result, config)
+        scores = Scores(result)
         pool_scores = {
-            (r.antecedent, r.class_id): score_rule(r, config.scoring)
-            for r in _build_all(result)
+            (r.antecedent, r.class_id): r.rconf
+            for r in (build_rule(scores, k) for k in range(len(scores.rows)))
         }
         for r in rules:
             if r.size != 2:
@@ -168,7 +169,7 @@ def test_criterion_3_s2_redundancy_exclusion():
             echo_rules += 1
             parent = tuple(i for i in r.antecedent if i[0] not in const_cols)
             parent_score = pool_scores.get((parent, r.class_id))
-            if parent_score is not None and score_rule(r, config.scoring) == parent_score:
+            if parent_score is not None and r.rconf == parent_score:
                 violations += 1
     DETAILS[3] = "%d/%d trials clean, %d constant-column interactions in output" % (
         TRIALS, TRIALS, echo_rules
@@ -195,7 +196,7 @@ def test_criterion_4_unbalanced_scoring_contrast():
         if flat_rules and all(r.class_id == 0 for r in flat_rules):
             flat_all_class0 += 1
         split_result = mine_frequent(ds, split_config)
-        if any(r.class_id == 2 for r in _build_all(split_result)):
+        if np.any(Scores(split_result).rows[:, 0] == 2):
             split_pool_class2 += 1
         if any(r.class_id == 2 for r in select_rules(split_result, split_config)):
             split_top5_class2 += 1

@@ -259,6 +259,23 @@ class TestMine:
         rc = main(["mine", "--input", mixed_csv, "--label", "y", "--out-rules", out])
         assert rc == 3
 
+    @pytest.mark.parametrize("command", ["mine", "transform"])
+    @pytest.mark.parametrize(
+        "flags, k, l",
+        [(["--k", "3", "--l", "2"], 3, 2), (["--k", "3"], 3, 10), (["--assume-categorical"], None, None)],
+        ids=["k-and-l", "k-only", "no-k"],
+    )
+    def test_manifest_records_the_bins_fit(self, command, flags, k, l, mixed_csv, tmp_path):
+        rules = str(tmp_path / "rules.jsonl")
+        assert main(["mine", "--input", mixed_csv, "--label", "y", *flags, "--out-rules", rules]) == 0
+        out = rules
+        if command == "transform":
+            out = str(tmp_path / "features.csv")
+            assert main(["transform", "--input", mixed_csv, "--label", "y", *flags, "--rules", rules,
+                         "--mode", "label", "--out", out]) == 0
+        params = read_manifest(out)["params"]
+        assert (params["k"], params["l"]) == (k, l)
+
 
 class TestTransform:
     def test_round_trip_label_mode(self, categorical_csv, tmp_path):
@@ -702,6 +719,13 @@ class TestErrors:
         )
         assert rc == 2
 
+    def test_declared_categorical_agrees_with_assume_categorical(self, categorical_csv, tmp_path):
+        outs = [tmp_path / "assumed.jsonl", tmp_path / "both.jsonl"]
+        for out, flags in zip(outs, [[], ["--declare", "x1=categorical"]]):
+            assert main(["mine", "--input", categorical_csv, "--label", "y", "--assume-categorical",
+                         *flags, "--out-rules", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_declared_kind_for_the_label_is_a_usage_error(self, categorical_csv, tmp_path, capsys):
         rc = main(["mine", "--input", categorical_csv, "--label", "y", "--assume-categorical",
                    "--declare", "y=continuous", "--out-rules", str(tmp_path / "r.jsonl")])
@@ -736,9 +760,18 @@ class TestErrors:
               "--out"], "--l must be >= 1"),
             (["mine", "--reluctant", "--scoring", "conf", "--out-rules"],
              "--reluctant requires rconf scoring"),
+            (["mine", "--l", "3", "--out-rules"], "--l applies only with --k"),
+            (["transform", "--l", "3", "--rules", "r.jsonl", "--mode", "label", "--out"],
+             "--l applies only with --k"),
+            (["mine", "--assume-categorical", "--declare", "x1=continuous", "--out-rules"],
+             "--declare x1=continuous contradicts --assume-categorical"),
+            (["transform", "--assume-categorical", "--declare", "x1=continuous", "--rules", "r.jsonl",
+              "--mode", "label", "--out"], "--declare x1=continuous contradicts --assume-categorical"),
         ],
         ids=["discretize-k", "mine-k", "transform-k", "discretize-l", "mine-l", "transform-l",
-             "mine-reluctant-conf"],
+             "mine-reluctant-conf", "mine-l-without-k", "transform-l-without-k",
+             "mine-declare-continuous-assume-categorical",
+             "transform-declare-continuous-assume-categorical"],
     )
     def test_bad_flag_is_refused_before_any_file_is_touched(self, argv, message, tmp_path, capsys):
         # the input does not exist, so reading it would exit 3

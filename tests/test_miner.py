@@ -535,9 +535,9 @@ class TestSubsampleRecountProperty:
                 (i.antecedent, i.class_id) for i in drawn_pool
             }
             assert [(-i.support, i.rank) for i in pool] == sorted((-i.support, i.rank) for i in pool)
-        for its in result.all_itemsets():
+        for its, counts in zip(result.all_itemsets(), result.counts):
             want = np.bincount(ds.labels[antecedent_mask(ds, its.antecedent)], minlength=ds.num_classes)
-            assert result.antecedent_class_counts(its.antecedent).tolist() == want.tolist()
+            assert counts.tolist() == want.tolist()
             assert its.support == want[its.class_id]
 
 

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from araf.bench import brute_force_topk
+from araf import rules as rules_module
+from araf.bench import brute_force_topk, generate
 from araf.data import binary_dataset
 from araf.errors import DataError, UsageError
 from araf.mining import (
@@ -15,8 +16,8 @@ from araf.mining import (
     Scoring,
     TableStats,
     count_pairs,
-    count_singletons,
     mine_frequent,
+    mine_with_thresholds,
 )
 from araf.rules import (
     confidence,
@@ -25,7 +26,6 @@ from araf.rules import (
     parse_rules_jsonl,
     relative_confidence,
     rules_to_jsonl,
-    score_rule,
     select_rules,
     select_rules_reluctant,
 )
@@ -73,22 +73,23 @@ class TestLift:
 
 
 def small_result(per_class_lists, ds):
-    """Assemble a MiningResult directly from hand-picked per-class itemsets."""
-    table = count_singletons(ds)
-    offsets = RankSpace(ds.schema).offsets
-    antecedents = {its.antecedent for lst in per_class_lists.values() for its in lst}
-    pairs = [ant for ant in antecedents if len(ant) == 2]
-    indices = [[int(offsets[f]) + cat for f, cat in ant] for ant in pairs]
-    counts = {ant: table[offsets[ant[0][0]] + ant[0][1]] for ant in antecedents if len(ant) == 1}
-    counts.update(zip(pairs, count_pairs(ds, indices)))
+    """Assemble a per-class MiningResult directly from hand-picked per-class itemsets."""
+    space = RankSpace(ds.schema)
+    rows = []
+    for c in sorted(per_class_lists):
+        for its in per_class_lists[c]:
+            items = [int(space.offsets[f]) + cat for f, cat in its.antecedent]
+            rows.append([c, items[0], items[-1]])  # a singleton on item i is (c, i, i)
+    rows = np.array(rows, dtype=np.int64).reshape(-1, 3)
     return MiningResult(
-        schema=ds.schema,
+        space=space,
         n=ds.n,
         class_totals=ds.class_counts(),
-        itemsets=None,
-        per_class=per_class_lists,
-        table_stats=TableStats(0, len(pairs)),
-        _counts=counts,
+        rows=rows,
+        counts=count_pairs(ds, rows[:, 1:]),
+        ranks=space.ranks(*rows.T),
+        table_stats=TableStats(0, int(np.sum(rows[:, 1] != rows[:, 2]))),
+        class_pools=True,
     )
 
 
@@ -131,6 +132,31 @@ class TestSelectRules:
         absent = [r for r in rules if r.class_id == 2]
         assert absent, "zero-support itemsets for the declared class still score"
         assert all(r.lift == 0.0 and r.support == 0 for r in absent)
+
+
+class TestRulesAreBuiltOnlyForOutput:
+    @pytest.mark.parametrize("select", ["select_rules", "select_rules_reluctant", "generate_rules_threshold"])
+    def test_one_build_rule_call_per_rule_returned(self, select, monkeypatch):
+        calls = []
+        build = rules_module.build_rule
+
+        def counting_build(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(rules_module, "build_rule", counting_build)
+        ds = generate("s1", 300, 5, 10)
+        if select == "generate_rules_threshold":
+            result = mine_with_thresholds(ds, 0.1)
+            rules = generate_rules_threshold(result, 0.8)
+        else:
+            config = MiningConfig(45, 5, per_class=True, scoring=Scoring.RELATIVE_CONFIDENCE,
+                                  reluctant=select == "select_rules_reluctant")
+            result = mine_frequent(ds, config)
+            rules = getattr(rules_module, select)(result, config)
+        # far more itemsets than rules, so scoring through Rule objects would show
+        assert 0 < len(rules) < len(result.all_itemsets()) // 2
+        assert len(calls) == len(rules)
 
 
 class TestReluctantGate:

@@ -69,3 +69,18 @@ def test_package_root_binds_only_the_version():
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
             bound.add(node.id)
     assert bound == {"__version__"}
+
+
+def test_a_rule_is_made_only_in_build_rule():
+    # selection decides on arrays; a Rule is made for each rule it returns, in one place
+    sites = set()
+    for module, tree in parsed_modules().items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                    if callee == "Rule":
+                        sites.add("%s:%s" % (module, getattr(top, "name", node.lineno)))
+    # the oracle scores its own rules, apart from the miner
+    sites.discard("bench.py:brute_force_topk")
+    assert sites == {"rules.py:build_rule"}
