@@ -179,6 +179,18 @@ def cmd_mine(args) -> int:
         raise UsageError("threshold mining needs both --minsupp and --minconf")
     if args.reluctant and args.scoring not in (None, "rconf"):
         raise UsageError("--reluctant requires rconf scoring")
+    # refused before the input is read, with the messages of MiningConfig,
+    # mine_with_thresholds and generate_rules_threshold
+    if args.subsample is not None and args.subsample < 1:
+        raise UsageError("subsample size must be >= 1")
+    if args.d_freq is not None and args.d_freq < 1:
+        raise UsageError("d_freq must be >= 1")
+    if args.d_conf is not None and not 1 <= args.d_conf <= (args.d_freq or args.d_conf):
+        raise UsageError("d_conf must satisfy 1 <= d_conf <= d_freq")
+    if args.minsupp is not None and not 0 < args.minsupp <= 1:
+        raise UsageError("minsupp must lie in (0, 1]")
+    if args.minconf is not None and not 0 <= args.minconf <= 1:
+        raise UsageError("minconf must lie in [0, 1]")
     _check_k(args)
 
     with open_output(args.out_rules) as f:

@@ -767,11 +767,22 @@ class TestErrors:
              "--declare x1=continuous contradicts --assume-categorical"),
             (["transform", "--assume-categorical", "--declare", "x1=continuous", "--rules", "r.jsonl",
               "--mode", "label", "--out"], "--declare x1=continuous contradicts --assume-categorical"),
+            (["mine", "--subsample", "0", "--out-rules"], "subsample size must be >= 1"),
+            (["mine", "--d-freq", "0", "--out-rules"], "d_freq must be >= 1"),
+            (["mine", "--d-conf", "0", "--out-rules"], "d_conf must satisfy 1 <= d_conf <= d_freq"),
+            (["mine", "--d-freq", "3", "--d-conf", "4", "--out-rules"],
+             "d_conf must satisfy 1 <= d_conf <= d_freq"),
+            (["mine", "--minsupp", "0", "--minconf", "0.5", "--out-rules"], "minsupp must lie in (0, 1]"),
+            (["mine", "--minsupp", "1.5", "--minconf", "0.5", "--out-rules"], "minsupp must lie in (0, 1]"),
+            (["mine", "--minsupp", "0.1", "--minconf", "5", "--out-rules"], "minconf must lie in [0, 1]"),
+            (["mine", "--minsupp", "0.1", "--minconf", "-0.5", "--out-rules"], "minconf must lie in [0, 1]"),
         ],
         ids=["discretize-k", "mine-k", "transform-k", "discretize-l", "mine-l", "transform-l",
              "mine-reluctant-conf", "mine-l-without-k", "transform-l-without-k",
              "mine-declare-continuous-assume-categorical",
-             "transform-declare-continuous-assume-categorical"],
+             "transform-declare-continuous-assume-categorical",
+             "mine-subsample-0", "mine-d-freq-0", "mine-d-conf-0", "mine-d-conf-above-d-freq",
+             "mine-minsupp-0", "mine-minsupp-above-1", "mine-minconf-above-1", "mine-minconf-negative"],
     )
     def test_bad_flag_is_refused_before_any_file_is_touched(self, argv, message, tmp_path, capsys):
         # the input does not exist, so reading it would exit 3

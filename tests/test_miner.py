@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -229,6 +230,16 @@ def block_crossing_case():
     return ds, [(a, b) for a in range(9) for b in range(9)]
 
 
+def count_pairs_each_way(ds, pairs):
+    """count_pairs(ds, pairs) with each split by class forced: rows in file
+    order with class bit sets, then rows laid out in class order."""
+    out = []
+    for split in (mining._class_bits, mining._class_layout):
+        with mock.patch.object(mining, "_class_split", lambda *_: split):
+            out.append(count_pairs(ds, pairs))
+    return out
+
+
 class TestCounting:
     def test_singleton_hand_count(self):
         x = np.array([[0, 1], [0, 0], [1, 1], [0, 1]])
@@ -264,11 +275,11 @@ class TestCounting:
         y = np.array([0, 0, 1, 1])
         ds = binary_dataset(x, y, class_names=("a", "b"))
         # item index of (feature f, category c) is 2 * f + c
-        counts = count_pairs(ds, [[0, 3], [3, 5]])
-        assert counts.tolist() == [
-            [2, 0],  # (0,0)&(1,1): rows 0,1
-            [1, 1],  # (1,1)&(2,1): rows 0,2
-        ]
+        for counts in count_pairs_each_way(ds, [[0, 3], [3, 5]]):
+            assert counts.tolist() == [
+                [2, 0],  # (0,0)&(1,1): rows 0,1
+                [1, 1],  # (1,1)&(2,1): rows 0,2
+            ]
 
     def test_pair_counts_cover_all_classes(self):
         rng = np.random.default_rng(0)
@@ -290,8 +301,8 @@ class TestCounting:
         y = np.zeros(n, dtype=int)
         y[BLOCK_ROWS:] = 1
         ds = binary_dataset(x, y, class_names=("a", "b", "c"))
-        counts = count_pairs(ds, [[1, 3], [0, 3]])
-        assert counts.tolist() == [[BLOCK_ROWS, 5, 0], [0, 0, 0]]
+        for counts in count_pairs_each_way(ds, [[1, 3], [0, 3]]):
+            assert counts.tolist() == [[BLOCK_ROWS, 5, 0], [0, 0, 0]]
 
     @pytest.mark.parametrize(
         "make",
@@ -301,17 +312,39 @@ class TestCounting:
     def test_an_item_paired_with_itself_counts_its_singleton(self, make):
         ds = make()
         items = np.arange(RankSpace(ds.schema).total_items)
-        got = count_pairs(ds, np.column_stack([items, items]))
-        assert got.tolist() == count_singletons(ds).tolist()
+        for got in count_pairs_each_way(ds, np.column_stack([items, items])):
+            assert got.tolist() == count_singletons(ds).tolist()
 
     @settings(max_examples=100, deadline=None)
     @given(pair_count_cases())
     @example(block_crossing_case())
     def test_pair_counts_equal_row_masks(self, case):
         ds, pairs = case
-        got = count_pairs(ds, pairs)
-        assert got.dtype == np.int64
-        assert got.tolist() == row_mask_counts(ds, pairs).tolist()
+        want = row_mask_counts(ds, pairs).tolist()
+        for got in count_pairs_each_way(ds, pairs):
+            assert got.dtype == np.int64
+            assert got.tolist() == want
+
+    def test_few_pairs_per_item_keep_rows_in_file_order(self):
+        # the full-data recount of mine-tall-subsample: 32 pairs of 13 items
+        assert mining._class_split(32, 13, 3) is mining._class_bits
+        # mine-wide's conf count: 4,868 pairs of 100 items
+        assert mining._class_split(4868, 100, 3) is mining._class_layout
+        rng = np.random.default_rng(5)
+        rows = rng.integers(0, 8, size=(300, 5)).tolist()
+        ds = categorical_dataset([8] * 5, rows, rng.integers(0, 2, size=300), 2)
+        items = range(40)
+        real, shapes = mining._class_split, []
+
+        def spy(*shape):
+            shapes.append(shape)
+            return real(*shape)
+
+        with mock.patch.object(mining, "_class_split", spy):
+            count_pairs(ds, [(i, i) for i in items])
+            count_pairs(ds, list(itertools.product(items, items)))
+        assert shapes == [(40, 40, 2), (1600, 40, 2)]
+        assert [real(*shape) for shape in shapes] == [mining._class_bits, mining._class_layout]
 
 
 class TestPairCandidates:
