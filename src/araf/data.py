@@ -3,8 +3,11 @@
 A dataset is a dense table of p feature columns plus one label column.
 Categorical cells are stored as integer category ids; the id of a category
 is its first-appearance position in file order, so ids are reproducible
-from the file alone. Continuous cells are stored as float64. Labels are
-always treated as categorical.
+from the file alone. Each id column is held in the narrowest unsigned
+dtype that fits its largest possible id: one byte per cell up to 256
+categories, two up to 65,536. Continuous cells are stored as float64.
+Labels are always treated as categorical, stored the same way by class
+count, and their per-class totals are counted once when the table is built.
 
 CSV handling follows the usual quoting conventions (header row required,
 UTF-8). Rows with missing cells are rejected at load time rather than
@@ -18,7 +21,7 @@ import csv
 import enum
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,28 +82,39 @@ class Schema:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable table: one numpy column per feature plus an int label vector.
+    """Immutable table: one numpy column per feature plus a label vector.
 
-    Categorical columns are int64 arrays of category ids; continuous columns
-    are float64 arrays. All columns and the label vector share length n.
+    Categorical columns and the labels hold integer ids, each narrowed at
+    construction to the smallest unsigned dtype that holds its largest
+    possible id (uint8 for up to 256 categories or classes); an array that
+    is already that narrow is held without a copy. Continuous columns are
+    float64 arrays. All columns and the label vector share length n. The
+    per-class label totals are counted once here; class_counts returns them.
     """
 
     schema: Schema
     columns: tuple[np.ndarray, ...]
     labels: np.ndarray
+    _class_counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.labels)
         if len(self.columns) != self.schema.p:
             raise DataError("column count does not match schema")
+        columns = []
         for col, spec in zip(self.columns, self.schema.features):
             if len(col) != n:
                 raise DataError("column %r length differs from label length" % spec.name)
             if spec.kind is ColumnKind.CATEGORICAL:
-                if col.size and (col.min() < 0 or col.max() >= len(spec.categories)):
-                    raise DataError("category id out of range in column %r" % spec.name)
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.schema.num_classes):
-            raise DataError("label id out of range")
+                col = _narrow_ids(col, len(spec.categories), "category ids in column %r" % spec.name)
+            columns.append(col)
+        labels = _narrow_ids(self.labels, self.schema.num_classes, "label ids")
+        # counted on the ids as given: a narrow vector would be widened to intp first
+        counts = np.bincount(self.labels, minlength=self.schema.num_classes)
+        counts.setflags(write=False)
+        object.__setattr__(self, "columns", tuple(columns))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_class_counts", counts)
 
     @property
     def n(self) -> int:
@@ -126,7 +140,22 @@ class Dataset:
         return np.column_stack([col.astype(np.int64, copy=False) for col in self.columns])
 
     def class_counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.num_classes).astype(np.int64)
+        """Rows per class id, as counted at construction (read-only)."""
+        return self._class_counts
+
+
+def _narrow_ids(ids: np.ndarray, size: int, name: str) -> np.ndarray:
+    """ids checked to lie in [0, size), held in the narrowest unsigned dtype for size - 1.
+
+    Raises DataError, naming the ids as name, when their dtype is not
+    boolean or integer, so that no fraction is truncated into an id, or
+    when an id lies outside the range.
+    """
+    if ids.dtype.kind not in "biu":
+        raise DataError("%s have dtype %s, not an integer dtype" % (name, ids.dtype))
+    if ids.size and (ids.min() < 0 or ids.max() >= size):
+        raise DataError("%s out of range" % name)
+    return ids.astype(np.min_scalar_type(max(size - 1, 0)), copy=False)
 
 
 def rows_matching(ds: Dataset, items) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Dataset construction, CSV round trips, and encoding behavior."""
 
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from araf.data import (
 )
 from araf.errors import DataError, UsageError
 from araf.features import FeatureMode, transform
-from araf.mining import MiningConfig, count_singletons, mine_frequent, mine_with_thresholds
+from araf.mining import MiningConfig, Scoring, count_singletons, mine_frequent, mine_with_thresholds
+from araf.sampling import subsample
 from reference import decode_cell, values_equal
 
 
@@ -215,6 +217,99 @@ class TestDatasetInvariants:
     def test_decode_cell(self, tmp_path):
         ds = load_csv(write(tmp_path, BASIC), "y")
         assert decode_cell(ds, 1, 0) == "blue"
+
+    def test_fractional_category_ids_rejected(self):
+        schema = Schema((Column("a", ColumnKind.CATEGORICAL, ("0", "1")),), "y", ("x",))
+        with pytest.raises(DataError, match="^category ids in column 'a' have dtype float64, not an integer dtype$"):
+            Dataset(schema, (np.array([0.0, 0.5]),), np.zeros(2, dtype=np.int64))
+
+    def test_fractional_labels_rejected(self):
+        schema = Schema((Column("a", ColumnKind.CATEGORICAL, ("0", "1")),), "y", ("x", "z"))
+        with pytest.raises(DataError, match="^label ids have dtype float64, not an integer dtype$"):
+            Dataset(schema, (np.zeros(2, dtype=np.int64),), np.array([0.0, 1.0]))
+
+
+def id_dataset(num_categories, ids, labels, num_classes=2):
+    """One categorical column over num_categories categories plus a continuous one."""
+    schema = Schema(
+        (
+            Column("a", ColumnKind.CATEGORICAL, tuple(str(c) for c in range(num_categories))),
+            Column("b", ColumnKind.CONTINUOUS),
+        ),
+        "y",
+        tuple(str(c) for c in range(num_classes)),
+    )
+    return Dataset(schema, (ids, np.linspace(0.0, 1.0, len(ids))), labels)
+
+
+class TestIdDtype:
+    @pytest.mark.parametrize(
+        "num_categories, dtype",
+        [(1, np.uint8), (2, np.uint8), (256, np.uint8), (257, np.uint16), (65_536, np.uint16),
+         (65_537, np.uint32)],
+    )
+    def test_narrowest_unsigned_dtype_by_category_count(self, num_categories, dtype):
+        ids = np.array([0, num_categories - 1], dtype=np.int64)
+        ds = id_dataset(num_categories, ids, np.array([0, 1]))
+        assert ds.columns[0].dtype == dtype
+        assert ds.columns[0].tolist() == ids.tolist()
+        assert ds.columns[1].dtype == np.float64
+
+    @pytest.mark.parametrize("num_classes, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_labels_narrowed_by_class_count(self, num_classes, dtype):
+        labels = np.array([0, num_classes - 1], dtype=np.int64)
+        ds = id_dataset(2, np.array([0, 1]), labels, num_classes)
+        assert ds.labels.dtype == dtype
+        assert ds.labels.tolist() == labels.tolist()
+
+    def test_boolean_ids_accepted(self):
+        ds = id_dataset(2, np.array([True, False, True]), np.array([False, True, True]))
+        assert ds.columns[0].tolist() == [1, 0, 1]
+        assert ds.labels.tolist() == [0, 1, 1]
+
+    def test_narrow_arrays_held_without_a_copy(self):
+        ids = np.array([0, 3, 2, 3], dtype=np.uint8)
+        labels = np.array([1, 0, 1, 1], dtype=np.uint8)
+        ds = id_dataset(4, ids, labels)
+        assert np.shares_memory(ds.columns[0], ids)
+        assert np.shares_memory(ds.labels, labels)
+
+    def test_class_counts_are_a_bincount(self):
+        rng = np.random.default_rng(5)
+        ds = id_dataset(3, rng.integers(0, 3, 500).astype(np.uint8), rng.integers(0, 4, 500).astype(np.uint8), 5)
+        assert ds.class_counts().tolist() == np.bincount(ds.labels, minlength=5).tolist()
+        assert ds.class_counts().tolist()[4] == 0
+        drawn = subsample(ds, 77, seed=3)
+        assert drawn.labels.dtype == np.uint8
+        assert drawn.class_counts().tolist() == np.bincount(drawn.labels, minlength=5).tolist()
+        assert drawn.class_counts().sum() == 77
+
+    def test_ids_of_any_integer_dtype_give_identical_results(self):
+        rng = np.random.default_rng(11)
+        sizes, n, num_classes = (3, 4, 2, 5), 300, 3
+        ids = [rng.integers(0, k, n) for k in sizes]
+        labels = rng.integers(0, num_classes, n)
+        schema = Schema(
+            tuple(Column("X%d" % j, ColumnKind.CATEGORICAL, tuple("c%d" % c for c in range(k)))
+                  for j, k in enumerate(sizes)),
+            "Y",
+            tuple("k%d" % c for c in range(num_classes)),
+        )
+        config = MiningConfig(18, 6, per_class=True, scoring=Scoring.RELATIVE_CONFIDENCE)
+        outputs = []
+        for dtype in (np.int64, np.int32, np.uint8):
+            ds = Dataset(schema, tuple(col.astype(dtype) for col in ids), labels.astype(dtype))
+            result = mine_frequent(ds, config)
+            antecedents = [its.antecedent for its in result.all_itemsets()]
+            text = io.StringIO(newline="")
+            write_csv(ds, text)
+            outputs.append((
+                result.rows.tolist(), result.counts.tolist(), result.ranks.tolist(),
+                result.class_totals.tolist(),
+                *(transform(ds, antecedents, mode)[0].tolist() for mode in FeatureMode),
+                text.getvalue(),
+            ))
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 def one_hot(ds):

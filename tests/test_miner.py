@@ -479,6 +479,45 @@ class TestMineFrequent:
         assert rows == {"count_singletons": [80], "count_pairs": [80, 400]}
 
 
+class TestWideIdDtypes:
+    @pytest.mark.parametrize("num_categories, dtype", [(256, np.uint8), (257, np.uint16)])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            MiningConfig(40, 10),
+            MiningConfig(60, 12, per_class=True, scoring=Scoring.RELATIVE_CONFIDENCE, reluctant=True),
+            MiningConfig(30, 8, scoring=Scoring.LIFT, subsample=500, seed=4),
+        ],
+        ids=["conf", "reluctant", "lift-subsample"],
+    )
+    def test_mining_equals_the_oracle_at_the_dtype_boundary(self, num_categories, dtype, config):
+        rng = np.random.default_rng(num_categories)
+        n = 1200
+        # every category occurs, the last one (the widest id) most often
+        wide = np.concatenate([np.arange(num_categories), np.full(n - num_categories, num_categories - 1)])
+        schema = Schema(
+            (Column("X1", ColumnKind.CATEGORICAL, tuple(str(c) for c in range(num_categories))),
+             Column("X2", ColumnKind.CATEGORICAL, ("0", "1"))),
+            "Y",
+            ("0", "1", "2"),
+        )
+        ds = Dataset(schema, (rng.permutation(wide), rng.integers(0, 2, n)), rng.integers(0, 3, n))
+        assert ds.columns[0].dtype == dtype and ds.columns[1].dtype == np.uint8
+        result = mine_frequent(ds, config)
+        assert any((0, num_categories - 1) in its.antecedent for its in result.all_itemsets())
+        if config.subsample is not None:
+            # the oracle counts full data only: the recounts must equal row masks
+            for its in result.all_itemsets():
+                want = np.bincount(ds.labels[antecedent_mask(ds, its.antecedent)], minlength=3)
+                assert its.support == want[its.class_id]
+            return
+        select = select_rules_reluctant if config.reluctant else select_rules
+        want = brute_force_topk(ds, config)
+        assert result.itemsets == want.itemsets
+        assert result.per_class == want.per_class
+        assert select(result, config) == want.rules
+
+
 @st.composite
 def mining_cases(draw):
     """A random schema, a table over it (not every category or class need
