@@ -326,6 +326,13 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _design(x, y) -> tuple[np.ndarray, np.ndarray]:
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.int64)
+    if not np.isfinite(x).all():
+        raise DataError("design matrix contains non-finite values")
+    return x, y
+
+
 def _power_iteration_sq(x: np.ndarray, iters: int = 60) -> float:
     """Largest eigenvalue of X^T X, deterministic start."""
     d = x.shape[1]
@@ -354,10 +361,7 @@ def train_logreg(
     identical input reproduces the model bit for bit. Descent stops after
     400 iterations, or earlier once no gradient entry reaches 1e-6.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if not np.isfinite(x).all():
-        raise DataError("design matrix contains non-finite values")
+    x, y = _design(x, y)
     if np.unique(y).size < 2:
         raise DataError("training labels contain a single class")
     n, d = x.shape
@@ -413,10 +417,7 @@ def train_logreg(
 
 def evaluate(model: LogisticModel, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Mean negative log likelihood (natural log) and accuracy."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if not np.isfinite(x).all():
-        raise DataError("design matrix contains non-finite values")
+    x, y = _design(x, y)
     probs = _softmax(x @ model.weights + model.bias)
     picked = np.clip(probs[np.arange(len(y)), y], 1e-300, None)
     logloss = float(-np.log(picked).mean())

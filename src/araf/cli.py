@@ -9,7 +9,7 @@ Each file is moved into place only once it is complete (data.open_output),
 and a command opens all its output files before it reads its input, so an
 output that cannot be written ends the run before any work, with nothing written.
 
-Exit codes: 0 success, 2 bad usage, 3 bad input data, 4 internal failure.
+Exit codes: 0 success, 2 bad usage, 3 bad input data, 4 internal failure or out of memory.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .data import ColumnKind, Dataset, load_csv, open_csv, open_output, open_text, write_csv
 from .discretize import apply_dataset, fit_dataset, maps_to_json
-from .errors import ArafError, DataError, UsageError
+from .errors import ArafError, DataError, UsageError, check_mining_values
 from .features import FeatureMode, suggest_params, transform
 from .mining import (
     MiningConfig,
@@ -179,18 +179,9 @@ def cmd_mine(args) -> int:
         raise UsageError("threshold mining needs both --minsupp and --minconf")
     if args.reluctant and args.scoring not in (None, "rconf"):
         raise UsageError("--reluctant requires rconf scoring")
-    # refused before the input is read, with the messages of MiningConfig,
-    # mine_with_thresholds and generate_rules_threshold
-    if args.subsample is not None and args.subsample < 1:
-        raise UsageError("subsample size must be >= 1")
-    if args.d_freq is not None and args.d_freq < 1:
-        raise UsageError("d_freq must be >= 1")
-    if args.d_conf is not None and not 1 <= args.d_conf <= (args.d_freq or args.d_conf):
-        raise UsageError("d_conf must satisfy 1 <= d_conf <= d_freq")
-    if args.minsupp is not None and not 0 < args.minsupp <= 1:
-        raise UsageError("minsupp must lie in (0, 1]")
-    if args.minconf is not None and not 0 <= args.minconf <= 1:
-        raise UsageError("minconf must lie in [0, 1]")
+    # refused before the input is read, by the check the library calls make
+    check_mining_values(subsample=args.subsample, d_freq=args.d_freq, d_conf=args.d_conf,
+                        minsupp=args.minsupp, minconf=args.minconf)
     _check_k(args)
 
     with open_output(args.out_rules) as f:
@@ -333,6 +324,8 @@ def cmd_bench(args) -> int:
         k: d if getattr(args, k) is None else getattr(args, k)
         for k, d in DEFAULTS[args.variant].items()
     }
+    # refused before the first trial's data is generated
+    check_mining_values(d_freq=sizes["d_freq"], d_conf=sizes.get("d_conf"))
     # open both files before any trial runs; neither is moved into place until both are written
     recovery_out = open_output(args.recovery) if args.recovery else nullcontext()
     with open_output(args.out) as f, recovery_out as recovery_f:
@@ -471,6 +464,10 @@ def main(argv: "list[str] | None" = None) -> int:
     except OSError as exc:
         print("data error: %s" % exc, file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # NumPy refuses an array beyond the address space at once, as --subsample 10**14 asks
+        print("error: out of memory" + (": %s" % exc if str(exc) else ""), file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

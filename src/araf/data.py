@@ -10,9 +10,10 @@ Labels are always treated as categorical, stored the same way by class
 count, and their per-class totals are counted once when the table is built.
 
 CSV handling follows the usual quoting conventions (header row required,
-UTF-8). Rows with missing cells are rejected at load time rather than
-imputed; column kinds are inferred (a column is continuous iff every cell
-parses as a finite number) unless the caller declares them.
+UTF-8, a leading byte-order mark dropped). Rows with missing cells are
+rejected at load time rather than imputed; column kinds are inferred (a
+column is continuous iff every cell parses as a finite number) unless the
+caller declares them.
 """
 
 from __future__ import annotations
@@ -184,9 +185,12 @@ def _encode(cells) -> tuple[np.ndarray, tuple[str, ...]]:
 
 @contextmanager
 def open_text(path: str):
-    """A UTF-8 text file, newlines kept as written; bytes that do not decode raise DataError."""
+    """A UTF-8 text file, newlines kept as written; bytes that do not decode raise DataError.
+
+    A leading byte-order mark is dropped, as Excel's "CSV UTF-8" writes one.
+    """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise DataError("file %r is not valid UTF-8: %s" % (path, exc)) from None
@@ -225,9 +229,17 @@ def open_output(path: str):
 
 @contextmanager
 def open_csv(path: str):
-    """A csv reader over a UTF-8 file; bytes that do not decode raise DataError."""
+    """A csv reader over a UTF-8 file; bytes that do not decode raise DataError.
+
+    So does a line the reader refuses, such as a cell longer than
+    csv.field_size_limit() (131,072 characters); the message names the line.
+    """
     with open_text(path) as fh:
-        yield csv.reader(fh)
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise DataError("file %r line %d: %s" % (path, reader.line_num, exc)) from None
 
 
 def load_csv(
@@ -241,7 +253,8 @@ def load_csv(
     feature. declared_kinds maps column names to the ColumnKind that
     overrides inference for them. Raises DataError on malformed input:
     a missing label column, no rows, a ragged row, an empty cell, a
-    non-number in a column declared continuous, or bytes that are not UTF-8.
+    non-number in a column declared continuous, bytes that are not UTF-8,
+    or a line the csv reader refuses.
     """
     with open_csv(path) as reader:
         try:

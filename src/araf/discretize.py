@@ -95,10 +95,16 @@ def info_gain(labels, partition, num_classes: "int | None" = None) -> float:
 
 
 def _candidate_cuts(sorted_vals: np.ndarray, l: int) -> set[float]:
-    """Midpoint candidates at the l interior quantiles of one interval."""
+    """Midpoint candidates at the l interior quantiles of one interval.
+
+    For m rows, l = m - 1 already puts a quantile at each index but the
+    last, and one at the last has nothing to its right, so a larger l gives
+    the same candidates and is capped there.
+    """
     m = sorted_vals.size
     if m < 2:
         return set()
+    l = min(l, m - 1)
     pos = np.ceil(np.arange(1, l + 1) * m / (l + 1)).astype(np.int64) - 1
     v = sorted_vals[np.clip(pos, 0, m - 1)]
     right = np.searchsorted(sorted_vals, v, side="right")

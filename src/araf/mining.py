@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, Schema
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, check_mining_values
 from .sampling import subsample
 
 Item = tuple[int, int]  # (feature index, category id)
@@ -93,14 +93,10 @@ class MiningConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.d_freq < 1:
-            raise UsageError("d_freq must be >= 1")
-        if not 1 <= self.d_conf <= self.d_freq:
-            raise UsageError("d_conf must satisfy 1 <= d_conf <= d_freq")
+        check_mining_values(d_freq=self.d_freq, d_conf=self.d_conf)
         if self.reluctant and not self.per_class:
             raise UsageError("reluctant selection requires per_class mining")
-        if self.subsample is not None and self.subsample < 1:
-            raise UsageError("subsample size must be >= 1")
+        check_mining_values(subsample=self.subsample)
 
     def per_class_capacity(self, num_classes: int) -> int:
         return max(1, self.d_freq // num_classes)
@@ -468,7 +464,6 @@ def mine_with_thresholds(ds: Dataset, minsupp: float) -> MiningResult:
     anti-monotone, so the frequent pairs are exactly the candidates above
     the floor.
     """
-    if not 0 < minsupp <= 1:
-        raise UsageError("minsupp must lie in (0, 1]")
+    check_mining_values(minsupp=minsupp)
     floor = minsupp * ds.n - 1e-9
     return _mine(ds, ds, lambda support, classes: np.flatnonzero(support >= floor), False)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Schema
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, check_mining_values
 from .mining import (
     Antecedent,
     MiningConfig,
@@ -165,11 +165,9 @@ def select_rules_reluctant(result: MiningResult, config: MiningConfig) -> list[R
 def generate_rules_threshold(result: MiningResult, minconf: float) -> list[Rule]:
     """Keep every rule whose confidence clears minconf, in enumeration order.
 
-    The threshold selection after mining.mine_with_thresholds; minconf must
-    lie in [0, 1].
+    The threshold selection after mining.mine_with_thresholds.
     """
-    if not 0 <= minconf <= 1:
-        raise UsageError("minconf must lie in [0, 1]")
+    check_mining_values(minconf=minconf)
     scores = Scores(result)
     keep = np.flatnonzero(scores.confidence + 1e-12 >= minconf)
     return [build_rule(scores, k) for k in keep[np.argsort(scores.ranks[keep])].tolist()]

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .data import Dataset, rows_matching
-from .errors import UsageError
+from .errors import UsageError, check_mining_values
 
 
 def subsample(ds: Dataset, n_prime: int, seed: int = 0) -> Dataset:
@@ -23,8 +23,7 @@ def subsample(ds: Dataset, n_prime: int, seed: int = 0) -> Dataset:
     The draw is a pure function of (seed, n, n_prime); the PCG64 generator
     makes it reproducible across platforms.
     """
-    if n_prime < 1:
-        raise UsageError("subsample size must be >= 1")
+    check_mining_values(subsample=n_prime)
     rng = np.random.Generator(np.random.PCG64(seed))
     idx = rng.integers(0, ds.n, size=n_prime)
     cols = tuple(col[idx] for col in ds.columns)

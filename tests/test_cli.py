@@ -91,6 +91,17 @@ class TestDiscretize:
         assert manifest["params"]["columns_discretized"] == ["b"]
         assert mixed_csv in manifest["inputs"]
 
+    def test_l_far_above_the_row_count_bins_as_l_n_minus_1(self, mixed_csv, tmp_path):
+        # mixed_csv has 60 rows; a larger l gives the same candidate cuts
+        outs = {}
+        for l in ("59", "100000000000000"):
+            out = str(tmp_path / ("binned-%s.csv" % l))
+            argv = ["discretize", "--input", mixed_csv, "--label", "y", "--k", "4", "--l", l,
+                    "--out-data", out, "--out-map", out + ".map.json"]
+            assert main(argv) == 0
+            outs[l] = (open(out).read(), open(out + ".map.json").read())
+        assert outs["59"] == outs["100000000000000"]
+
     def test_all_categorical_is_identity(self, categorical_csv, tmp_path):
         out = str(tmp_path / "same.csv")
         out_map = str(tmp_path / "map.json")
@@ -448,6 +459,28 @@ class TestBench:
         assert message in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize(
+        "variant, flags, message",
+        [
+            ("s1", ["--d-freq", "0"], "d_freq must be >= 1"),
+            ("s1", ["--d-freq", "3", "--d-conf", "4"], "d_conf must satisfy 1 <= d_conf <= d_freq"),
+            ("freq", ["--d-freq", "0"], "d_freq must be >= 1"),
+        ],
+        ids=["s1-d-freq-0", "s1-d-conf-above-d-freq", "freq-d-freq-0"],
+    )
+    def test_pool_sizes_are_refused_before_any_data_is_generated(
+        self, variant, flags, message, tmp_path, capsys, monkeypatch
+    ):
+        from araf import bench
+
+        def no_data(*args, **kwargs):
+            raise AssertionError("a dataset was generated")
+
+        monkeypatch.setattr(bench, "generate", no_data)
+        argv = ["bench", "--variant", variant, "--trials", "1", *flags, "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "usage error: %s\n" % message
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize(
         "variant, sizes",
@@ -832,6 +865,58 @@ class TestErrors:
         assert rc == 3
         err = capsys.readouterr().err
         assert "not valid UTF-8" in err and str(path) in err
+
+    @pytest.mark.parametrize("flags", [[], ["--assume-categorical"]], ids=["load", "header-read"])
+    def test_over_long_cell_is_a_data_error(self, flags, tmp_path, capsys):
+        # a header cell for the header read of --assume-categorical, a data cell for load_csv
+        path = tmp_path / "long.csv"
+        long_cell = "x" * 140_000
+        text = "a,y\n%s,p\nb,n\n" % long_cell if not flags else "%s,y\na,p\n" % long_cell
+        path.write_text(text)
+        before = sorted(os.listdir(tmp_path))
+        rc = main(["mine", "--input", str(path), "--label", "y", *flags,
+                   "--out-rules", str(tmp_path / "r.jsonl")])
+        assert rc == 3
+        line = 1 if flags else 2
+        assert capsys.readouterr().err == (
+            "data error: file %r line %d: field larger than field limit (131072)\n" % (str(path), line)
+        )
+        assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("header", ["y,x1", "x1,y"], ids=["label-first", "feature-first"])
+    def test_leading_byte_order_mark_is_dropped(self, header, tmp_path):
+        rows = ["p,a", "n,b", "p,a"] if header == "y,x1" else ["a,p", "b,n", "a,p"]
+        text = "\n".join([header] + rows) + "\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text)
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        for path in (plain, bom):
+            out = str(path) + ".rules.jsonl"
+            assert main(["mine", "--input", str(path), "--label", "y", "--out-rules", out]) == 0
+        rules = (tmp_path / "bom.csv.rules.jsonl").read_text()
+        assert rules == (tmp_path / "plain.csv.rules.jsonl").read_text()
+        assert '"feature": "x1"' in rules
+
+    def test_subsample_too_large_to_allocate_is_out_of_memory(self, categorical_csv, tmp_path, capsys):
+        # 10**14 draws of 8 bytes is above 2**48 bytes, so NumPy refuses the array without allocating
+        before = sorted(os.listdir(tmp_path))
+        rc = main(["mine", "--input", categorical_csv, "--label", "y", "--subsample", "100000000000000",
+                   "--out-rules", str(tmp_path / "r.jsonl")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_memory_error_without_a_message(self, categorical_csv, tmp_path, capsys, monkeypatch):
+        def exhausted(ds, config):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "mine_frequent", exhausted)
+        rc = main(["mine", "--input", categorical_csv, "--label", "y",
+                   "--out-rules", str(tmp_path / "r.jsonl")])
+        assert rc == 4
+        assert capsys.readouterr().err == "error: out of memory\n"
+        assert not (tmp_path / "r.jsonl").exists()
 
     def test_threads_flag_is_rejected(self, mixed_csv, categorical_csv, tmp_path, capsys):
         for argv, _ in every_command(tmp_path, mixed_csv, categorical_csv):

@@ -124,6 +124,21 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="^column 'a' declared continuous but cell 'inf' is not a number$"):
             load_csv(path, "y", {"a": ColumnKind.CONTINUOUS})
 
+    @pytest.mark.parametrize("text", ["y,a\nyes,u\nno,v\n", "a,y\nu,yes\nv,no\n"],
+                             ids=["label-first", "feature-first"])
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, text):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        ds = load_csv(str(path), "y")
+        assert (ds.schema.feature_names(), ds.schema.label_name) == (["a"], "y")
+        assert values_equal(ds, load_csv(write(tmp_path, text), "y"))
+
+    def test_byte_order_mark_inside_a_cell_is_kept(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes("a,y\n\ufeffu,yes\n".encode())
+        ds = load_csv(str(path), "y")
+        assert ds.schema.features[0].categories == ("\ufeffu",)
+
     def test_first_bad_row_is_reported(self, tmp_path):
         with pytest.raises(DataError, match="^row 3 has an empty cell$"):
             load_csv(write(tmp_path, "a,y\n1,x\n1,\n1,x,2\n"), "y")

@@ -103,6 +103,17 @@ class TestFitDiscretizer:
         with pytest.raises(UsageError):
             fit_discretizer(np.array([1.0, 2.0]), np.array([0, 1]), k=2, l=0)
 
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_l_beyond_the_row_count_gives_the_map_of_n_minus_1(self, k):
+        # from l = m - 1 on, an interval of m rows has a quantile at every index
+        rng = np.random.default_rng(3)
+        vals = rng.normal(size=30).round(1)
+        labels = rng.integers(0, 3, size=30)
+        want = fit_discretizer(vals, labels, k=k, l=29)
+        assert want != fit_discretizer(vals, labels, k=k, l=3)
+        for l in (30, 31, 1000, 10**14):
+            assert fit_discretizer(vals, labels, k=k, l=l) == want
+
     def test_thresholds_sorted_strictly(self):
         rng = np.random.default_rng(11)
         for _ in range(20):

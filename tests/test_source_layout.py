@@ -84,3 +84,17 @@ def test_a_rule_is_made_only_in_build_rule():
     # the oracle scores its own rules, apart from the miner
     sites.discard("bench.py:brute_force_topk")
     assert sites == {"rules.py:build_rule"}
+
+
+def test_no_two_raise_sites_share_a_message():
+    # a rule stated at two raise sites can drift apart; each message is raised in one place
+    sites = {}
+    for module, tree in parsed_modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+                message = node.exc.args[0]
+                if isinstance(message, ast.BinOp):  # "..." % values
+                    message = message.left
+                if isinstance(message, ast.Constant):
+                    sites.setdefault(message.value, []).append("%s:%d" % (module, node.lineno))
+    assert {message: where for message, where in sites.items() if len(where) > 1} == {}
