@@ -34,6 +34,7 @@ from .mining import (
     Scoring,
     mine_frequent,
     mine_with_thresholds,
+    require_features,
 )
 from .rules import (
     generate_rules_threshold,
@@ -188,6 +189,7 @@ def cmd_mine(args) -> int:
         ds = _load(args)
         if args.k is not None:
             ds, _ = _binned(ds, args)
+        require_features(ds.schema)  # before suggest_params, which takes a width of 0 as usage
 
         if threshold_mode:
             result = mine_with_thresholds(ds, args.minsupp)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import enum
 import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -81,6 +82,79 @@ class Schema:
                 )
 
 
+class ItemBits:
+    """Packed bit sets of a table's items over its rows in class order, built on request.
+
+    The rows are ordered stably by class, and each class's run is padded
+    with empty slots to a whole number of 64-bit words, at least one, so
+    that starts, the first word of each class's run in class order, rises
+    strictly. The first request sets starts and builds the order with one
+    stable argsort of the labels. An item's bit set is built on the first
+    request that names it, and the items one request adds to a feature
+    share one gather of that feature's column into class order. Nothing is
+    built with the table. The index holds 8 bytes per row for the order and
+    one bit per row for each item built; it reads the table's id columns,
+    which never change.
+    """
+
+    def __init__(self, schema: Schema, columns, labels: np.ndarray, class_counts: np.ndarray) -> None:
+        self._schema, self._columns, self._labels = schema, columns, labels
+        self._class_counts = class_counts
+        self._layout = None  # slot -> row; padding slots read row 0
+        self._lock = threading.Lock()  # threads sharing a table build each item once
+
+    def _order(self) -> None:
+        sizes = self._class_counts
+        words = np.maximum(-(-sizes // 64), 1)
+        self.starts = np.cumsum(words) - words
+        padding = np.repeat(np.arange(len(sizes)), 64 * words - sizes)
+        # a stable sort puts each class's padding labels after its rows
+        slot_labels = np.concatenate([self._labels, padding], dtype=self._labels.dtype, casting="unsafe")
+        self._layout = np.argsort(slot_labels, kind="stable")
+        self._padding = np.flatnonzero(self._layout >= len(self._labels))
+        self._layout[self._padding] = 0
+        sizes = [len(col.categories) for col in self._schema.features]
+        self._offsets = np.cumsum([0] + sizes[:-1], dtype=np.int64)
+        self._rows = np.full(sum(sizes), -1, dtype=np.intp)  # item -> its row of _bits
+        self._bits = np.empty((0, len(self._layout) // 64), dtype=np.uint64)
+        self._built = 0
+
+    def words(self, features, categories) -> tuple[np.ndarray, np.ndarray]:
+        """The held bit sets and the row of item (features[k], categories[k]) among them.
+
+        Returns a read-only (items built, words) uint64 array and an intp
+        array of rows. Items not yet held are built first; a later build
+        leaves the rows of an array already returned as they are.
+        """
+        with self._lock:
+            if self._layout is None:
+                self._order()
+            keys = self._offsets[features] + categories
+            new = np.unique(keys[self._rows[keys] < 0])
+            if len(new):
+                self._build(np.searchsorted(self._offsets, new, side="right") - 1, new)
+            bits = self._bits[: self._built]
+            bits.setflags(write=False)
+            return bits, self._rows[keys]
+
+    def _build(self, features: np.ndarray, keys: np.ndarray) -> None:
+        """Add the bit sets of the items keys, of the features given, to the held ones."""
+        need = self._built + len(keys)
+        if need > len(self._bits):
+            grown = np.empty((max(need, 2 * len(self._bits)), self._bits.shape[1]), dtype=np.uint64)
+            grown[: self._built] = self._bits[: self._built]
+            self._bits = grown
+        hits = np.empty(len(self._layout), dtype=bool)
+        for f in np.unique(features).tolist():
+            gathered = self._columns[f].take(self._layout)
+            for key in keys[features == f].tolist():
+                np.equal(gathered, key - self._offsets[f], out=hits)
+                hits[self._padding] = False
+                self._bits[self._built] = np.packbits(hits).view(np.uint64)
+                self._rows[key] = self._built
+                self._built += 1
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable table: one numpy column per feature plus a label vector.
@@ -88,15 +162,19 @@ class Dataset:
     Categorical columns and the labels hold integer ids, each narrowed at
     construction to the smallest unsigned dtype that holds its largest
     possible id (uint8 for up to 256 categories or classes); an array that
-    is already that narrow is held without a copy. Continuous columns are
-    float64 arrays. All columns and the label vector share length n. The
-    per-class label totals are counted once here; class_counts returns them.
+    is already that narrow is held without a copy, through a read-only view.
+    Arrays passed in must not be changed afterwards: the per-class label
+    totals, counted once here and returned by class_counts, and the item
+    bit sets of item_bits, built on request and held, are read from them.
+    Continuous columns are float64 arrays. All columns and the label vector
+    share length n.
     """
 
     schema: Schema
     columns: tuple[np.ndarray, ...]
     labels: np.ndarray
     _class_counts: np.ndarray = field(init=False, repr=False, compare=False)
+    item_bits: ItemBits = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.labels)
@@ -113,9 +191,15 @@ class Dataset:
         # counted on the ids as given: a narrow vector would be widened to intp first
         counts = np.bincount(self.labels, minlength=self.schema.num_classes)
         counts.setflags(write=False)
-        object.__setattr__(self, "columns", tuple(columns))
+        columns = tuple(columns)
+        object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_class_counts", counts)
+        object.__setattr__(self, "item_bits", ItemBits(self.schema, columns, labels, counts))
+
+    def __reduce__(self):
+        # a copy is made anew from its arrays and holds no bit sets
+        return Dataset, (self.schema, self.columns, self.labels)
 
     @property
     def n(self) -> int:
@@ -146,17 +230,19 @@ class Dataset:
 
 
 def _narrow_ids(ids: np.ndarray, size: int, name: str) -> np.ndarray:
-    """ids checked to lie in [0, size), held in the narrowest unsigned dtype for size - 1.
+    """ids checked to lie in [0, size), as a read-only view in the narrowest unsigned dtype for size - 1.
 
     Raises DataError, naming the ids as name, when their dtype is not
     boolean or integer, so that no fraction is truncated into an id, or
-    when an id lies outside the range.
+    when an id lies outside the range. The caller's array stays writable.
     """
     if ids.dtype.kind not in "biu":
         raise DataError("%s have dtype %s, not an integer dtype" % (name, ids.dtype))
     if ids.size and (ids.min() < 0 or ids.max() >= size):
         raise DataError("%s out of range" % name)
-    return ids.astype(np.min_scalar_type(max(size - 1, 0)), copy=False)
+    view = ids.astype(np.min_scalar_type(max(size - 1, 0)), copy=False).view()
+    view.setflags(write=False)
+    return view
 
 
 def rows_matching(ds: Dataset, items) -> np.ndarray:
@@ -178,9 +264,8 @@ def _parse_reals(cells) -> "np.ndarray | None":
 
 def _encode(cells) -> tuple[np.ndarray, tuple[str, ...]]:
     """Category ids in first-appearance order, and the categories in that order."""
-    ids: dict[str, int] = {}
-    codes = [ids.setdefault(c, len(ids)) for c in cells]
-    return np.array(codes, dtype=np.int64), tuple(ids)
+    ids = {c: i for i, c in enumerate(dict.fromkeys(cells))}
+    return np.fromiter(map(ids.__getitem__, cells), dtype=np.int64, count=len(cells)), tuple(ids)
 
 
 @contextmanager

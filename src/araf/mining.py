@@ -19,13 +19,17 @@ of item indices (see RankSpace); a singleton on item i is the row
 support is the entry for its own class. Singletons are counted with one
 bincount per block of rows. All candidate pairs are counted together, the
 vertical way of Eclat's tid-lists (Zaki 2000) and MAFIA's bitmaps (Burdick
-et al. 2001): each item holds a bit set of the rows it occurs in, and a
-pair's count is the popcount of the AND of its two items' bit sets. The
-split by class is picked per call from its shape: with few pairs per item,
-rows stay in file order and each class's bit set is ANDed in too; with many,
-each block of rows is gathered into class order once, so that a class is a
-run of words. Counts are exact integers at any n. A pool selected on a
-subsample is recounted exactly on the full data in a single bit-set pass
+et al. 2001), from the bit sets the table holds (Dataset.item_bits): each
+item's rows in one class order of the rows, each class a run of whole
+64-bit words, built the first time a count names the item. A pair's count
+in class c is the popcount of the AND of its two items' bit sets over
+class c's run. The held bits cost one bit per row for each item counted
+so far, plus 8 bytes per row for the class order (about 3.9 MB on a
+400,000-row table whose recount touches 13 items), and every later count
+on the same table reads them instead of the rows: the scorings mined from
+one table, the full-data recount of each subsampled call, a grid over
+d_freq and d_conf. Counts are exact integers at any n. A pool selected on
+a subsample is recounted exactly on the full data in one count_pairs call
 over the survivors' items; a bit set ANDed with itself is itself, so a row
 (c, i, i) counts item i alone. The result holds the selected rows and their
 count arrays.
@@ -183,6 +187,12 @@ def top_per_group(support, groups, capacity: int) -> np.ndarray:
     return order[place < capacity]
 
 
+def require_features(schema: Schema) -> None:
+    """Raise DataError when schema has no feature column to mine."""
+    if not schema.p:
+        raise DataError("mining needs at least one feature column")
+
+
 def count_singletons(ds: Dataset) -> np.ndarray:
     """Every singleton's count, one bincount of (item, class) cells per block of rows.
 
@@ -226,64 +236,8 @@ def generate_pair_candidates(frequent, space: RankSpace) -> np.ndarray:
     return out[np.argsort(out[:, 1] * space.num_classes + out[:, 0], kind="stable")]
 
 
-def _class_layout(labels: np.ndarray, hits: np.ndarray, num_classes: int):
-    """Item bit sets over a block laid out in class order, and their per-class counter.
-
-    labels are the block's rows' classes and hits[k, j] whether row j holds
-    item k; every column of hits from len(labels) on is False. Rows are
-    gathered into class order, each class's run padded to whole 64-bit words
-    by slots that read column len(labels). The counter maps ANDed bit sets
-    to their per-class popcounts, one sum over each class's run.
-    """
-    rows = len(labels)
-    sizes = np.bincount(labels, minlength=num_classes)
-    words = -(-sizes // 64)
-    padding = np.repeat(np.arange(num_classes), 64 * words - sizes)
-    label_dtype = np.min_scalar_type(num_classes)  # small, so the stable sort is a radix sort
-    slot_labels = np.concatenate([labels, padding], dtype=label_dtype, casting="unsafe")
-    layout = np.minimum(np.argsort(slot_labels, kind="stable"), rows)
-    present = words > 0
-    runs = (np.cumsum(words) - words)[present]
-
-    def per_class(both):
-        counts = np.zeros((len(both), num_classes), dtype=np.int64)
-        counts[:, present] = np.add.reduceat(np.bitwise_count(both), runs, axis=1, dtype=np.int64)
-        return counts
-
-    return np.packbits(hits.take(layout, axis=1), axis=1).view(np.uint64), per_class
-
-
-def _class_bits(labels: np.ndarray, hits: np.ndarray, num_classes: int):
-    """Item bit sets over a block in row order, and their per-class counter.
-
-    Takes what _class_layout takes, with hits a whole number of 64-bit
-    words wide. Each class gets a bit set of its rows; the counter ANDs
-    each one into the pairs' bit sets and sums the popcounts.
-    """
-    classes = np.zeros((num_classes, hits.shape[1]), dtype=bool)
-    np.equal(labels, np.arange(num_classes)[:, None], out=classes[:, : len(labels)])
-    class_bits = np.packbits(classes, axis=1).view(np.uint64)
-
-    def per_class(both):
-        return np.stack(
-            [np.bitwise_count(both & c).sum(axis=1, dtype=np.int64) for c in class_bits], axis=1
-        )
-
-    return np.packbits(hits, axis=1).view(np.uint64), per_class
-
-
-def _class_split(num_pairs: int, num_items: int, num_classes: int):
-    """How count_pairs splits each block by class: _class_bits or _class_layout.
-
-    _class_bits costs num_classes word-ANDs per pair and 64 rows;
-    _class_layout costs one gathered byte per item and row. The layout pays
-    only where many pairs share each item.
-    """
-    return _class_bits if num_pairs * num_classes < 64 * num_items else _class_layout
-
-
 def count_pairs(ds: Dataset, pairs) -> np.ndarray:
-    """Joint per-class counts of two-item antecedents, one pass over the rows.
+    """Joint per-class counts of two-item antecedents, from the table's held item bit sets.
 
     pairs is an (m, 2) array of item indices (see RankSpace); row k of the
     (m, num_classes) int64 result counts, per class, the rows holding both
@@ -292,35 +246,29 @@ def count_pairs(ds: Dataset, pairs) -> np.ndarray:
     proposed a candidate, because confidence needs the full antecedent
     marginal.
 
-    Each item of pairs gets a bit set over each block of rows, and a pair's
-    class-c count is the popcount of the AND of its two items' bit sets
-    within class c, summed into int64. How a block is split by class is
-    chosen once per call from the call's shape (_class_split): rows stay in
-    file order and each class gets a bit set of its rows (_class_bits), or
-    rows are gathered into class order (_class_layout).
+    The bit sets come from ds.item_bits, which holds each item's rows in
+    class order, each class a run of whole 64-bit words, and builds an item
+    on the first call that names it, at one bit per row per item on top of
+    8 bytes per row for the order. A later call on the same table, such as
+    the recount of each subsampled mine_frequent call or another scoring
+    mined from it, reads the held words instead of the rows. A pair's
+    class-c count is the popcount of the AND of its two items' bit sets,
+    summed over class c's run into int64, CHUNK_WORDS words of ANDed pairs
+    at a time.
     """
-    space = RankSpace(ds.schema)
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    num_classes = ds.num_classes
-    out = np.zeros((len(pairs), num_classes), dtype=np.int64)
-    if not len(pairs):
+    out = np.zeros((len(pairs), ds.num_classes), dtype=np.int64)
+    if not len(pairs) or not ds.n:
         return out
+    space = RankSpace(ds.schema)
     used, local = _distinct(pairs.ravel())
-    first, second = local.reshape(pairs.shape).T
-    items = [space.items[i] for i in used.tolist()]
-    split = _class_split(len(pairs), len(items), num_classes)
-    for lo in range(0, ds.n, BLOCK_ROWS):
-        labels = ds.labels[lo : lo + BLOCK_ROWS]
-        rows = len(labels)
-        # whole words, and at least one all-False column for the layout's padding
-        hits = np.empty((len(items), 64 * (rows // 64 + 1)), dtype=bool)
-        hits[:, rows:] = False
-        for k, (f, category) in enumerate(items):
-            np.equal(ds.columns[f][lo : lo + rows], category, out=hits[k, :rows])
-        bits, per_class = split(labels, hits, num_classes)
-        step = max(1, CHUNK_WORDS // bits.shape[1])
-        for k in range(0, len(pairs), step):
-            out[k : k + step] += per_class(bits[first[k : k + step]] & bits[second[k : k + step]])
+    index = ds.item_bits
+    bits, rows = index.words(space.features[used], space.categories[used])
+    first, second = rows[local].reshape(pairs.shape).T
+    step = max(1, CHUNK_WORDS // bits.shape[1])
+    for k in range(0, len(pairs), step):
+        both = np.bitwise_count(bits[first[k : k + step]] & bits[second[k : k + step]])
+        out[k : k + step] = np.add.reduceat(both, index.starts, axis=1, dtype=np.int64)
     return out
 
 
@@ -406,6 +354,7 @@ def _mine(ds: Dataset, count_ds: Dataset, pick, per_class: bool) -> MiningResult
     Selection counts on count_ds. When that is not ds, the rows kept are
     recounted on ds in one count_pairs call and picked again.
     """
+    require_features(ds.schema)
     singletons = count_singletons(count_ds)
     space = RankSpace(ds.schema)
     support = singletons.ravel()

@@ -1,6 +1,15 @@
-"""Cell-by-cell reference helpers for comparing datasets in tests."""
+"""Cell-by-cell reference helpers for comparing and encoding datasets in tests."""
+
+import numpy as np
 
 from araf.data import ColumnKind
+
+
+def encode_by_setdefault(cells):
+    """Category ids in first-appearance order, and the categories, one setdefault per cell."""
+    ids = {}
+    codes = [ids.setdefault(c, len(ids)) for c in cells]
+    return np.array(codes, dtype=np.int64), tuple(ids)
 
 
 def decode_cell(ds, row: int, j: int) -> str:

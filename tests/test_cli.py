@@ -235,6 +235,20 @@ class TestMine:
         assert rc == 2
         assert capsys.readouterr().err == "usage error: --reluctant requires rconf scoring\n"
 
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--d-freq", "4", "--d-conf", "2"], ["--reluctant"], ["--minsupp", "0.2", "--minconf", "0.5"]],
+        ids=["default-capacities", "given-capacities", "reluctant", "threshold"],
+    )
+    def test_a_label_only_file_is_a_data_error_in_every_mode(self, flags, tmp_path, capsys):
+        path = tmp_path / "labels.csv"
+        path.write_text("y\na\nb\n")
+        out = tmp_path / "r.jsonl"
+        rc = main(["mine", "--input", str(path), "--label", "y", *flags, "--out-rules", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == "data error: mining needs at least one feature column\n"
+        assert not out.exists()
+
     def test_default_rule_count_stays_within_a_given_capacity(self, categorical_csv, tmp_path):
         # p=3 gives a default rule count of 5*isqrt(3) = 5, above --d-freq 3
         out = str(tmp_path / "rules.jsonl")

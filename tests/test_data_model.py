@@ -2,6 +2,7 @@
 
 import csv
 import io
+import pickle
 
 import numpy as np
 import pytest
@@ -15,14 +16,15 @@ from araf.data import (
     Schema,
     binary_dataset,
     load_csv,
+    _encode,
     open_output,
     write_csv,
 )
 from araf.errors import DataError, UsageError
 from araf.features import FeatureMode, transform
-from araf.mining import MiningConfig, Scoring, count_singletons, mine_frequent, mine_with_thresholds
+from araf.mining import MiningConfig, Scoring, count_pairs, count_singletons, mine_frequent, mine_with_thresholds
 from araf.sampling import subsample
-from reference import decode_cell, values_equal
+from reference import decode_cell, encode_by_setdefault, values_equal
 
 
 def write(tmp_path, text, name="d.csv"):
@@ -206,6 +208,17 @@ class TestRoundTripProperty:
         assert again.schema == ds.schema
 
 
+class TestEncode:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(max_size=3) | st.sampled_from(["a", "b", "1", "1.0", " a"]), max_size=60))
+    def test_matches_the_setdefault_comprehension(self, cells):
+        codes, categories = _encode(cells)
+        want_codes, want_categories = encode_by_setdefault(cells)
+        assert codes.dtype == want_codes.dtype == np.int64
+        assert codes.tolist() == want_codes.tolist()
+        assert categories == want_categories
+
+
 class TestDatasetInvariants:
     def test_class_counts(self, tmp_path):
         ds = load_csv(write(tmp_path, BASIC), "y")
@@ -288,6 +301,28 @@ class TestIdDtype:
         ds = id_dataset(4, ids, labels)
         assert np.shares_memory(ds.columns[0], ids)
         assert np.shares_memory(ds.labels, labels)
+
+    def test_id_columns_and_labels_are_held_read_only(self):
+        ids = np.array([0, 3, 2, 3], dtype=np.uint8)
+        labels = np.array([1, 0, 1, 1], dtype=np.int64)
+        ds = id_dataset(4, ids, labels)
+        with pytest.raises(ValueError, match="read-only"):
+            ds.columns[0][0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            ds.labels[0] = 0
+        # the caller's own arrays stay writable, also the one held without a copy
+        ids[0] = 1
+        labels[0] = 0
+        assert ds.columns[0][0] == 1 and ds.labels.tolist() == [1, 0, 1, 1]
+
+    def test_a_pickled_table_is_rebuilt_from_its_arrays(self):
+        ds = id_dataset(4, np.array([0, 3, 2, 3]), np.array([1, 0, 1, 1]))
+        count_pairs(ds, [(0, 3), (3, 3)])
+        copy = pickle.loads(pickle.dumps(ds))
+        assert copy.schema == ds.schema and copy.class_counts().tolist() == ds.class_counts().tolist()
+        assert [c.tolist() for c in copy.columns] == [c.tolist() for c in ds.columns]
+        assert copy.columns[0].dtype == np.uint8 and not copy.labels.flags.writeable
+        assert count_pairs(copy, [(0, 3), (3, 3)]).tolist() == count_pairs(ds, [(0, 3), (3, 3)]).tolist()
 
     def test_class_counts_are_a_bincount(self):
         rng = np.random.default_rng(5)

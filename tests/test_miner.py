@@ -2,6 +2,8 @@
 
 import dataclasses
 import itertools
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -11,8 +13,8 @@ from hypothesis import strategies as st
 
 from araf import mining
 from araf.bench import _oracle_ranks, brute_force_topk
-from araf.data import binary_dataset, Column, ColumnKind, Dataset, Schema
-from araf.errors import UsageError
+from araf.data import binary_dataset, Column, ColumnKind, Dataset, ItemBits, Schema
+from araf.errors import DataError, UsageError
 from araf.mining import (
     BLOCK_ROWS,
     ClassItemset,
@@ -230,14 +232,39 @@ def block_crossing_case():
     return ds, [(a, b) for a in range(9) for b in range(9)]
 
 
-def count_pairs_each_way(ds, pairs):
-    """count_pairs(ds, pairs) with each split by class forced: rows in file
-    order with class bit sets, then rows laid out in class order."""
-    out = []
-    for split in (mining._class_bits, mining._class_layout):
-        with mock.patch.object(mining, "_class_split", lambda *_: split):
-            out.append(count_pairs(ds, pairs))
-    return out
+def count_pairs_cold_and_warm(ds, pairs):
+    """count_pairs(ds, pairs) on a fresh copy of ds, which holds no bit set
+    yet (cold), and on a copy whose held bit sets unrelated calls built first,
+    in another order (warm)."""
+    cold = count_pairs(Dataset(ds.schema, ds.columns, ds.labels), pairs)
+    warm = Dataset(ds.schema, ds.columns, ds.labels)
+    items = np.arange(RankSpace(ds.schema).total_items)[::-1]
+    count_pairs(warm, np.column_stack([items[::2], items[::2]]))
+    count_pairs(warm, np.column_stack([items, items[::-1]]))
+    return [cold, count_pairs(warm, pairs)]
+
+
+@st.composite
+def call_sequences(draw):
+    """A random table and a sequence of overlapping count_pairs calls on it.
+
+    Row counts on either side of a 64-bit word and across row blocks; 1 to
+    70 classes, some of them absent from the labels."""
+    n = draw(st.sampled_from([1, 63, 64, 65, 2 * BLOCK_ROWS + 1234]) | st.integers(0, 200))
+    num_classes = draw(st.integers(1, 70))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seen = rng.choice(num_classes, size=draw(st.integers(1, num_classes)), replace=False)
+    cols = tuple(rng.integers(0, k, size=n) for k in sizes)
+    specs = tuple(
+        Column("X%d" % (j + 1), ColumnKind.CATEGORICAL, tuple(str(c) for c in range(k)))
+        for j, k in enumerate(sizes)
+    )
+    schema = Schema(specs, "Y", tuple(str(c) for c in range(num_classes)))
+    ds = Dataset(schema, cols, rng.choice(seen, size=n))
+    item = st.integers(0, sum(sizes) - 1)
+    calls = draw(st.lists(st.lists(st.tuples(item, item), max_size=12), min_size=1, max_size=5))
+    return ds, calls
 
 
 class TestCounting:
@@ -275,7 +302,7 @@ class TestCounting:
         y = np.array([0, 0, 1, 1])
         ds = binary_dataset(x, y, class_names=("a", "b"))
         # item index of (feature f, category c) is 2 * f + c
-        for counts in count_pairs_each_way(ds, [[0, 3], [3, 5]]):
+        for counts in count_pairs_cold_and_warm(ds, [[0, 3], [3, 5]]):
             assert counts.tolist() == [
                 [2, 0],  # (0,0)&(1,1): rows 0,1
                 [1, 1],  # (1,1)&(2,1): rows 0,2
@@ -301,7 +328,7 @@ class TestCounting:
         y = np.zeros(n, dtype=int)
         y[BLOCK_ROWS:] = 1
         ds = binary_dataset(x, y, class_names=("a", "b", "c"))
-        for counts in count_pairs_each_way(ds, [[1, 3], [0, 3]]):
+        for counts in count_pairs_cold_and_warm(ds, [[1, 3], [0, 3]]):
             assert counts.tolist() == [[BLOCK_ROWS, 5, 0], [0, 0, 0]]
 
     @pytest.mark.parametrize(
@@ -312,7 +339,7 @@ class TestCounting:
     def test_an_item_paired_with_itself_counts_its_singleton(self, make):
         ds = make()
         items = np.arange(RankSpace(ds.schema).total_items)
-        for got in count_pairs_each_way(ds, np.column_stack([items, items])):
+        for got in count_pairs_cold_and_warm(ds, np.column_stack([items, items])):
             assert got.tolist() == count_singletons(ds).tolist()
 
     @settings(max_examples=100, deadline=None)
@@ -321,30 +348,44 @@ class TestCounting:
     def test_pair_counts_equal_row_masks(self, case):
         ds, pairs = case
         want = row_mask_counts(ds, pairs).tolist()
-        for got in count_pairs_each_way(ds, pairs):
+        for got in count_pairs_cold_and_warm(ds, pairs):
             assert got.dtype == np.int64
             assert got.tolist() == want
 
-    def test_few_pairs_per_item_keep_rows_in_file_order(self):
-        # the full-data recount of mine-tall-subsample: 32 pairs of 13 items
-        assert mining._class_split(32, 13, 3) is mining._class_bits
-        # mine-wide's conf count: 4,868 pairs of 100 items
-        assert mining._class_split(4868, 100, 3) is mining._class_layout
-        rng = np.random.default_rng(5)
-        rows = rng.integers(0, 8, size=(300, 5)).tolist()
-        ds = categorical_dataset([8] * 5, rows, rng.integers(0, 2, size=300), 2)
-        items = range(40)
-        real, shapes = mining._class_split, []
+    @settings(max_examples=60, deadline=None)
+    @given(call_sequences())
+    def test_call_sequences_on_one_table_equal_row_masks(self, case):
+        ds, calls = case
+        for pairs in calls:
+            assert count_pairs(ds, pairs).tolist() == row_mask_counts(ds, pairs).tolist()
 
-        def spy(*shape):
-            shapes.append(shape)
-            return real(*shape)
+    def test_a_repeated_call_adds_nothing_to_the_held_index(self):
+        ds, pairs = block_crossing_case()
+        pairs = pairs[:20]
+        first = count_pairs(ds, pairs)
+        none = np.empty(0, dtype=np.int64)
+        held, _ = ds.item_bits.words(none, none)
+        with mock.patch.object(ItemBits, "_build", side_effect=AssertionError("built again")):
+            assert count_pairs(ds, pairs).tolist() == first.tolist()
+            assert count_pairs(ds, pairs[::-1]).tolist() == first[::-1].tolist()
+        again, _ = ds.item_bits.words(none, none)
+        assert again.shape == held.shape and np.shares_memory(again, held)
+        assert held.shape[0] == len(np.unique(pairs))
 
-        with mock.patch.object(mining, "_class_split", spy):
-            count_pairs(ds, [(i, i) for i in items])
-            count_pairs(ds, list(itertools.product(items, items)))
-        assert shapes == [(40, 40, 2), (1600, 40, 2)]
-        assert [real(*shape) for shape in shapes] == [mining._class_bits, mining._class_layout]
+    def test_threads_sharing_a_table_count_alike(self):
+        ds, pairs = block_crossing_case()
+        calls = [pairs[k::7] for k in range(7)] * 3
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(count_pairs, ds, call) for call in calls]
+                got = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert [g.tolist() for g in got] == [row_mask_counts(ds, call).tolist() for call in calls]
+        none = np.empty(0, dtype=np.int64)
+        assert ds.item_bits.words(none, none)[0].shape[0] == len(np.unique(pairs))
 
 
 class TestPairCandidates:
@@ -388,6 +429,18 @@ class TestPairCandidates:
 
 
 class TestMineFrequent:
+    @pytest.mark.parametrize(
+        "mine",
+        [lambda ds: mine_frequent(ds, MiningConfig(4, 2)),
+         lambda ds: mine_frequent(ds, MiningConfig(4, 2, subsample=3)),
+         lambda ds: mine_with_thresholds(ds, 0.5)],
+        ids=["top-k", "subsample", "threshold"],
+    )
+    def test_a_table_without_feature_columns_is_refused(self, mine):
+        ds = Dataset(Schema((), "Y", ("a", "b")), (), np.array([0, 1, 1]))
+        with pytest.raises(DataError, match="^mining needs at least one feature column$"):
+            mine(ds)
+
     def test_matches_oracle_on_random_inputs(self):
         rng = np.random.default_rng(101)
         for trial in range(10):
