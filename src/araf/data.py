@@ -8,6 +8,8 @@ dtype that fits its largest possible id: one byte per cell up to 256
 categories, two up to 65,536. Continuous cells are stored as float64.
 Labels are always treated as categorical, stored the same way by class
 count, and their per-class totals are counted once when the table is built.
+A table also carries an empty item_bits dict, in which mining builds and
+keeps the bit sets it counts with.
 
 CSV handling follows the usual quoting conventions (header row required,
 UTF-8, a leading byte-order mark dropped). Rows with missing cells are
@@ -21,7 +23,6 @@ from __future__ import annotations
 import csv
 import enum
 import os
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -56,6 +57,18 @@ class Schema:
     label_name: str
     classes: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        # rules, binned files and transform name a column, category or class
+        # by its string, so each string must stand for one of them
+        named = [("the columns", [col.name for col in self.features] + [self.label_name])]
+        named += [("the classes", self.classes)]
+        named += [("the categories of column %r" % col.name, col.categories) for col in self.features]
+        for where, names in named:
+            if len(set(names)) < len(names):
+                ordered = sorted(names)
+                repeated = next(a for a, b in zip(ordered, ordered[1:]) if a == b)
+                raise DataError("%r is named twice among %s" % (repeated, where))
+
     @property
     def p(self) -> int:
         return len(self.features)
@@ -82,79 +95,6 @@ class Schema:
                 )
 
 
-class ItemBits:
-    """Packed bit sets of a table's items over its rows in class order, built on request.
-
-    The rows are ordered stably by class, and each class's run is padded
-    with empty slots to a whole number of 64-bit words, at least one, so
-    that starts, the first word of each class's run in class order, rises
-    strictly. The first request sets starts and builds the order with one
-    stable argsort of the labels. An item's bit set is built on the first
-    request that names it, and the items one request adds to a feature
-    share one gather of that feature's column into class order. Nothing is
-    built with the table. The index holds 8 bytes per row for the order and
-    one bit per row for each item built; it reads the table's id columns,
-    which never change.
-    """
-
-    def __init__(self, schema: Schema, columns, labels: np.ndarray, class_counts: np.ndarray) -> None:
-        self._schema, self._columns, self._labels = schema, columns, labels
-        self._class_counts = class_counts
-        self._layout = None  # slot -> row; padding slots read row 0
-        self._lock = threading.Lock()  # threads sharing a table build each item once
-
-    def _order(self) -> None:
-        sizes = self._class_counts
-        words = np.maximum(-(-sizes // 64), 1)
-        self.starts = np.cumsum(words) - words
-        padding = np.repeat(np.arange(len(sizes)), 64 * words - sizes)
-        # a stable sort puts each class's padding labels after its rows
-        slot_labels = np.concatenate([self._labels, padding], dtype=self._labels.dtype, casting="unsafe")
-        self._layout = np.argsort(slot_labels, kind="stable")
-        self._padding = np.flatnonzero(self._layout >= len(self._labels))
-        self._layout[self._padding] = 0
-        sizes = [len(col.categories) for col in self._schema.features]
-        self._offsets = np.cumsum([0] + sizes[:-1], dtype=np.int64)
-        self._rows = np.full(sum(sizes), -1, dtype=np.intp)  # item -> its row of _bits
-        self._bits = np.empty((0, len(self._layout) // 64), dtype=np.uint64)
-        self._built = 0
-
-    def words(self, features, categories) -> tuple[np.ndarray, np.ndarray]:
-        """The held bit sets and the row of item (features[k], categories[k]) among them.
-
-        Returns a read-only (items built, words) uint64 array and an intp
-        array of rows. Items not yet held are built first; a later build
-        leaves the rows of an array already returned as they are.
-        """
-        with self._lock:
-            if self._layout is None:
-                self._order()
-            keys = self._offsets[features] + categories
-            new = np.unique(keys[self._rows[keys] < 0])
-            if len(new):
-                self._build(np.searchsorted(self._offsets, new, side="right") - 1, new)
-            bits = self._bits[: self._built]
-            bits.setflags(write=False)
-            return bits, self._rows[keys]
-
-    def _build(self, features: np.ndarray, keys: np.ndarray) -> None:
-        """Add the bit sets of the items keys, of the features given, to the held ones."""
-        need = self._built + len(keys)
-        if need > len(self._bits):
-            grown = np.empty((max(need, 2 * len(self._bits)), self._bits.shape[1]), dtype=np.uint64)
-            grown[: self._built] = self._bits[: self._built]
-            self._bits = grown
-        hits = np.empty(len(self._layout), dtype=bool)
-        for f in np.unique(features).tolist():
-            gathered = self._columns[f].take(self._layout)
-            for key in keys[features == f].tolist():
-                np.equal(gathered, key - self._offsets[f], out=hits)
-                hits[self._padding] = False
-                self._bits[self._built] = np.packbits(hits).view(np.uint64)
-                self._rows[key] = self._built
-                self._built += 1
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Immutable table: one numpy column per feature plus a label vector.
@@ -165,7 +105,8 @@ class Dataset:
     is already that narrow is held without a copy, through a read-only view.
     Arrays passed in must not be changed afterwards: the per-class label
     totals, counted once here and returned by class_counts, and the item
-    bit sets of item_bits, built on request and held, are read from them.
+    bit sets that mining builds and keeps in the item_bits dict are read
+    from them.
     Continuous columns are float64 arrays. All columns and the label vector
     share length n.
     """
@@ -174,7 +115,7 @@ class Dataset:
     columns: tuple[np.ndarray, ...]
     labels: np.ndarray
     _class_counts: np.ndarray = field(init=False, repr=False, compare=False)
-    item_bits: ItemBits = field(init=False, repr=False, compare=False)
+    item_bits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.labels)
@@ -191,11 +132,9 @@ class Dataset:
         # counted on the ids as given: a narrow vector would be widened to intp first
         counts = np.bincount(self.labels, minlength=self.schema.num_classes)
         counts.setflags(write=False)
-        columns = tuple(columns)
-        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "columns", tuple(columns))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_class_counts", counts)
-        object.__setattr__(self, "item_bits", ItemBits(self.schema, columns, labels, counts))
 
     def __reduce__(self):
         # a copy is made anew from its arrays and holds no bit sets

@@ -38,12 +38,16 @@ class DiscretizationMap:
     degenerate: bool = False
 
     def interval_names(self) -> list[str]:
-        edges = ["-inf"] + ["%.6g" % t for t in self.thresholds]
-        names = []
-        for i in range(len(self.thresholds) + 1):
-            hi = "%.6g" % self.thresholds[i] if i < len(self.thresholds) else "inf"
-            names.append("(%s,%s]" % (edges[i], hi))
-        return names
+        """One "(lo,hi]" name per interval, each threshold printed at the
+        fewest significant digits, 6 or more, at which no two thresholds
+        print alike; equal thresholds print alike at any precision, so the
+        search stops at 17 digits, which tell any two floats apart."""
+        for digits in range(6, 18):
+            cuts = ["%.*g" % (digits, t) for t in self.thresholds]
+            if len(set(cuts)) == len(cuts):
+                break
+        edges = ["-inf"] + cuts + ["inf"]
+        return ["(%s,%s]" % bounds for bounds in zip(edges, edges[1:])]
 
 
 def entropy(class_counts) -> float:

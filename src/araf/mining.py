@@ -19,12 +19,12 @@ of item indices (see RankSpace); a singleton on item i is the row
 support is the entry for its own class. Singletons are counted with one
 bincount per block of rows. All candidate pairs are counted together, the
 vertical way of Eclat's tid-lists (Zaki 2000) and MAFIA's bitmaps (Burdick
-et al. 2001), from the bit sets the table holds (Dataset.item_bits): each
-item's rows in one class order of the rows, each class a run of whole
-64-bit words, built the first time a count names the item. A pair's count
-in class c is the popcount of the AND of its two items' bit sets over
-class c's run. The held bits cost one bit per row for each item counted
-so far, plus 8 bytes per row for the class order (about 3.9 MB on a
+et al. 2001), from bit sets that mining builds and keeps in the table's
+item_bits dict: each item's rows in one class order of the rows, each class
+a run of whole 64-bit words, built the first time a count names the item.
+A pair's count in class c is the popcount of the AND of its two items' bit
+sets over class c's run. The kept bits cost one bit per row for each item
+counted so far, plus 8 bytes per row for the class order (about 3.9 MB on a
 400,000-row table whose recount touches 13 items), and every later count
 on the same table reads them instead of the rows: the scorings mined from
 one table, the full-data recount of each subsampled call, a grid over
@@ -38,6 +38,7 @@ count arrays.
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,8 +237,47 @@ def generate_pair_candidates(frequent, space: RankSpace) -> np.ndarray:
     return out[np.argsort(out[:, 1] * space.num_classes + out[:, 0], kind="stable")]
 
 
+def _item_words(ds: Dataset, items) -> tuple[np.ndarray, np.ndarray]:
+    """The bit sets of items over ds's rows in class order, stacked, and each class's first word.
+
+    items are (feature, category) pairs. The rows are ordered stably by
+    class, and each class's run is padded with empty slots to a whole number
+    of 64-bit words, at least one, so that the first word of each class's
+    run rises strictly. ds.item_bits holds the order, made on the first call
+    with one stable argsort of the labels, and each item's words, built on
+    the first call that names the item; the items one call adds to a
+    feature share one gather of its column into class order. Threads
+    sharing ds build each item once.
+    """
+    held = ds.item_bits
+    with held.setdefault("lock", threading.Lock()):
+        if "order" not in held:
+            sizes = ds.class_counts()
+            words = np.maximum(-(-sizes // 64), 1)
+            padding = np.repeat(np.arange(len(sizes)), 64 * words - sizes)
+            # a stable sort puts each class's padding labels after its rows
+            slot_labels = np.concatenate([ds.labels, padding], dtype=ds.labels.dtype, casting="unsafe")
+            layout = np.argsort(slot_labels, kind="stable")
+            empty = np.flatnonzero(layout >= ds.n)
+            layout[empty] = 0  # an empty slot gathers row 0, and its bit is cleared
+            held["order"] = np.cumsum(words) - words, layout, empty
+        starts, layout, empty = held["order"]
+        new = {}
+        for f, c in items:
+            if (f, c) not in held:
+                new.setdefault(f, []).append(c)
+        hits = np.empty(len(layout), dtype=bool)
+        for f, categories in new.items():
+            gathered = ds.columns[f].take(layout)
+            for c in categories:
+                np.equal(gathered, c, out=hits)
+                hits[empty] = False
+                held[f, c] = np.packbits(hits).view(np.uint64)
+        return np.stack([held[item] for item in items]), starts
+
+
 def count_pairs(ds: Dataset, pairs) -> np.ndarray:
-    """Joint per-class counts of two-item antecedents, from the table's held item bit sets.
+    """Joint per-class counts of two-item antecedents, from bit sets mining keeps in ds.item_bits.
 
     pairs is an (m, 2) array of item indices (see RankSpace); row k of the
     (m, num_classes) int64 result counts, per class, the rows holding both
@@ -246,15 +286,15 @@ def count_pairs(ds: Dataset, pairs) -> np.ndarray:
     proposed a candidate, because confidence needs the full antecedent
     marginal.
 
-    The bit sets come from ds.item_bits, which holds each item's rows in
-    class order, each class a run of whole 64-bit words, and builds an item
-    on the first call that names it, at one bit per row per item on top of
-    8 bytes per row for the order. A later call on the same table, such as
-    the recount of each subsampled mine_frequent call or another scoring
-    mined from it, reads the held words instead of the rows. A pair's
-    class-c count is the popcount of the AND of its two items' bit sets,
-    summed over class c's run into int64, CHUNK_WORDS words of ANDed pairs
-    at a time.
+    Each item's bit set holds its rows in one class order of the table's
+    rows, each class a run of whole 64-bit words (see _item_words). It is
+    built on the first call that names the item and kept in the table's
+    item_bits dict, at one bit per row per item on top of 8 bytes per row
+    for the order. A later call on the same table, such as the recount of
+    each subsampled mine_frequent call or another scoring mined from it,
+    reads the kept words instead of the rows. A pair's class-c count is the
+    popcount of the AND of its two items' bit sets, summed over class c's
+    run into int64, CHUNK_WORDS words of ANDed pairs at a time.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     out = np.zeros((len(pairs), ds.num_classes), dtype=np.int64)
@@ -262,29 +302,22 @@ def count_pairs(ds: Dataset, pairs) -> np.ndarray:
         return out
     space = RankSpace(ds.schema)
     used, local = _distinct(pairs.ravel())
-    index = ds.item_bits
-    bits, rows = index.words(space.features[used], space.categories[used])
-    first, second = rows[local].reshape(pairs.shape).T
+    bits, starts = _item_words(ds, [space.items[i] for i in used.tolist()])
+    first, second = local.reshape(pairs.shape).T
     step = max(1, CHUNK_WORDS // bits.shape[1])
     for k in range(0, len(pairs), step):
         both = np.bitwise_count(bits[first[k : k + step]] & bits[second[k : k + step]])
-        out[k : k + step] = np.add.reduceat(both, index.starts, axis=1, dtype=np.int64)
+        out[k : k + step] = np.add.reduceat(both, starts, axis=1, dtype=np.int64)
     return out
 
 
-def _count_candidates(ds: Dataset, singletons: np.ndarray, frequent, space: RankSpace):
-    """The frequent singletons and every candidate pair of them, counted on ds.
+def _count_rows(ds: Dataset, rows, space: RankSpace):
+    """Each (class, a, b) row's per-class counts on ds, and how many distinct (a, b) were counted.
 
-    frequent holds singleton ranks in ascending order. Returns the
-    (class, a, b) rows of those itemsets in rank order, each row's
-    per-class counts on ds, and the number of distinct pairs counted.
+    The distinct antecedents are counted in one count_pairs call.
     """
-    items = frequent // space.num_classes
-    pairs = generate_pair_candidates(frequent, space)
-    keys, inverse = _distinct(pairs[:, 1] * space.total_items + pairs[:, 2])
-    pair_counts = count_pairs(ds, np.column_stack(np.divmod(keys, space.total_items)))
-    rows = np.concatenate([np.column_stack([frequent % space.num_classes, items, items]), pairs])
-    return rows, np.concatenate([singletons[items], pair_counts[inverse]]), len(keys)
+    keys, inverse = _distinct(rows[:, 1] * space.total_items + rows[:, 2])
+    return count_pairs(ds, np.column_stack(np.divmod(keys, space.total_items)))[inverse], len(keys)
 
 
 @dataclass
@@ -360,13 +393,16 @@ def _mine(ds: Dataset, count_ds: Dataset, pick, per_class: bool) -> MiningResult
     support = singletons.ravel()
     # a singleton left out of its pool stays out once pairs join the race
     frequent = np.sort(pick(support, np.arange(len(support)) % space.num_classes))
-    rows, counts, pair_entries = _count_candidates(count_ds, singletons, frequent, space)
+    items = frequent // space.num_classes
+    pairs = generate_pair_candidates(frequent, space)
+    pair_counts, pair_entries = _count_rows(count_ds, pairs, space)
+    rows = np.concatenate([np.column_stack([frequent % space.num_classes, items, items]), pairs])
+    counts = np.concatenate([singletons[items], pair_counts])
     keep = pick(_support(rows, counts), rows[:, 0])
     if count_ds is not ds:
         # selection was approximate; recount what survived on the full data
         rows = rows[np.sort(keep)]  # back in rank order
-        keys, inverse = _distinct(rows[:, 1] * space.total_items + rows[:, 2])
-        counts = count_pairs(ds, np.column_stack(np.divmod(keys, space.total_items)))[inverse]
+        counts, _ = _count_rows(ds, rows, space)
         keep = pick(_support(rows, counts), rows[:, 0])
     rows = rows[keep]
     return MiningResult(

@@ -120,6 +120,25 @@ class TestDiscretize:
             copy = list(csv.reader(f))
         assert copy == original
 
+    def test_thresholds_alike_at_six_digits_name_distinct_bins(self, tmp_path):
+        # the cuts fall near 1,700,000,093.5, 107.5 and 201.5: "%.6g" prints
+        # each as 1.7e+09
+        rng = np.random.default_rng(0)
+        ticks = rng.integers(0, 300, size=600)
+        rows = ["%d,%s,%s" % (1_700_000_000 + t, rng.choice(["u", "v"]), "abc"[t // 100]) for t in ticks]
+        path = tmp_path / "times.csv"
+        path.write_text("t,z,y\n" + "\n".join(rows) + "\n")
+        binned = str(tmp_path / "binned.csv")
+        assert main(["discretize", "--input", str(path), "--label", "y", "--k", "4", "--out-data", binned]) == 0
+        with open(binned) as f:
+            assert len({row[0] for row in list(csv.reader(f))[1:]}) == 4
+        # room for every rule, so that no tie on a category id decides which are kept
+        every = ["--label", "y", "--d-freq", "100", "--d-conf", "100", "--out-rules"]
+        assert main(["mine", "--input", binned, *every, str(tmp_path / "binned.jsonl")]) == 0
+        assert main(["mine", "--input", str(path), "--k", "4", *every, str(tmp_path / "in-process.jsonl")]) == 0
+        lines = [sorted((tmp_path / name).read_text().splitlines()) for name in ("binned.jsonl", "in-process.jsonl")]
+        assert len(lines[0]) < 100 and lines[0] == lines[1]
+
     def test_assume_categorical_loads_once(self, mixed_csv, tmp_path, monkeypatch):
         import araf.cli
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -255,6 +256,22 @@ class TestDatasetInvariants:
         schema = Schema((Column("a", ColumnKind.CATEGORICAL, ("0", "1")),), "y", ("x", "z"))
         with pytest.raises(DataError, match="^label ids have dtype float64, not an integer dtype$"):
             Dataset(schema, (np.zeros(2, dtype=np.int64),), np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "features, label, classes, message",
+        [
+            ([("a", ("0", "1", "0"))], "y", ("x",), "'0' is named twice among the categories of column 'a'"),
+            ([("a", ("0",)), ("a", ("1",))], "y", ("x",), "'a' is named twice among the columns"),
+            ([("a", ("0",))], "y", ("x", "z", "x"), "'x' is named twice among the classes"),
+            ([("a", ("0",)), ("y", ("1",))], "y", ("x",), "'y' is named twice among the columns"),
+        ],
+        ids=["category", "feature", "class", "feature-named-like-the-label"],
+    )
+    def test_a_name_given_twice_is_refused(self, features, label, classes, message):
+        # a rule, a binned file or transform names each by its string, which must stand for one id
+        columns = tuple(Column(name, ColumnKind.CATEGORICAL, categories) for name, categories in features)
+        with pytest.raises(DataError, match="^%s$" % re.escape(message)):
+            Schema(columns, label, classes)
 
 
 def id_dataset(num_categories, ids, labels, num_classes=2):

@@ -248,6 +248,21 @@ class TestApplyDiscretizer:
         names = dmap.interval_names()
         assert names == ["(-inf,1]", "(1,2]", "(2,inf]"]
 
+    @pytest.mark.parametrize(
+        "thresholds, names",
+        [
+            ((1700000093.5, 1700000107.5, 1700000201.5),
+             ["(-inf,1.70000009e+09]", "(1.70000009e+09,1.70000011e+09]",
+              "(1.70000011e+09,1.7000002e+09]", "(1.7000002e+09,inf]"]),
+            # equal thresholds, as a hand-written map may hold, print alike at any precision
+            ((0.1, 0.1), ["(-inf,0.10000000000000001]", "(0.10000000000000001,0.10000000000000001]",
+                          "(0.10000000000000001,inf]"]),
+        ],
+        ids=["alike-at-six-digits", "equal"],
+    )
+    def test_interval_names_take_the_digits_that_tell_thresholds_apart(self, thresholds, names):
+        assert DiscretizationMap("a", len(thresholds) + 1, thresholds).interval_names() == names
+
 
 class TestDatasetLevel:
     def make(self, tmp_path):

@@ -3,8 +3,8 @@
 import dataclasses
 import itertools
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from araf import mining
 from araf.bench import _oracle_ranks, brute_force_topk
-from araf.data import binary_dataset, Column, ColumnKind, Dataset, ItemBits, Schema
+from araf.data import binary_dataset, Column, ColumnKind, Dataset, Schema
 from araf.errors import DataError, UsageError
 from araf.mining import (
     BLOCK_ROWS,
@@ -244,6 +244,26 @@ def count_pairs_cold_and_warm(ds, pairs):
     return [cold, count_pairs(warm, pairs)]
 
 
+class SetOnce(dict):
+    """A dict that refuses to set a key twice: a table's class order or an
+    item's bit set built a second time fails the test that holds it."""
+
+    def __setitem__(self, key, value):
+        if key in self:
+            raise AssertionError("%r built again" % (key,))
+        super().__setitem__(key, value)
+
+
+def held_items(ds):
+    """The (feature, category) items whose bit sets ds.item_bits holds."""
+    return {key for key in ds.item_bits if isinstance(key, tuple)}
+
+
+def items_of(ds, pairs):
+    """The (feature, category) items named by item-index pairs."""
+    return {RankSpace(ds.schema).items[i] for i in np.unique(pairs).tolist()}
+
+
 @st.composite
 def call_sequences(draw):
     """A random table and a sequence of overlapping count_pairs calls on it.
@@ -363,29 +383,36 @@ class TestCounting:
         ds, pairs = block_crossing_case()
         pairs = pairs[:20]
         first = count_pairs(ds, pairs)
-        none = np.empty(0, dtype=np.int64)
-        held, _ = ds.item_bits.words(none, none)
-        with mock.patch.object(ItemBits, "_build", side_effect=AssertionError("built again")):
-            assert count_pairs(ds, pairs).tolist() == first.tolist()
-            assert count_pairs(ds, pairs[::-1]).tolist() == first[::-1].tolist()
-        again, _ = ds.item_bits.words(none, none)
-        assert again.shape == held.shape and np.shares_memory(again, held)
-        assert held.shape[0] == len(np.unique(pairs))
+        held = dict(ds.item_bits)
+        object.__setattr__(ds, "item_bits", SetOnce(held))
+        assert count_pairs(ds, pairs).tolist() == first.tolist()
+        assert count_pairs(ds, pairs[::-1]).tolist() == first[::-1].tolist()
+        assert ds.item_bits.keys() == held.keys()
+        assert all(ds.item_bits[key] is held[key] for key in held)
+        assert held_items(ds) == items_of(ds, pairs)
 
     def test_threads_sharing_a_table_count_alike(self):
-        ds, pairs = block_crossing_case()
-        calls = [pairs[k::7] for k in range(7)] * 3
+        table, pairs = block_crossing_case()
+        shares = [[pairs[k::7] for k in range(j, 21, 4)] for j in range(4)]
+        want = [[row_mask_counts(table, call).tolist() for call in share] for share in shares]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(count_pairs, ds, call) for call in calls]
-                got = [future.result(timeout=60) for future in futures]
+            for _ in range(20):  # each time on a fresh table, whose first calls race to build
+                ds = Dataset(table.schema, table.columns, table.labels)
+                object.__setattr__(ds, "item_bits", SetOnce())
+                start = threading.Barrier(len(shares), timeout=60)
+
+                def count_share(share):
+                    start.wait()
+                    return [count_pairs(ds, call).tolist() for call in share]
+
+                with ThreadPoolExecutor(max_workers=len(shares)) as pool:
+                    futures = [pool.submit(count_share, share) for share in shares]
+                    assert [future.result(timeout=60) for future in futures] == want
+                assert held_items(ds) == items_of(ds, pairs)
         finally:
             sys.setswitchinterval(interval)
-        assert [g.tolist() for g in got] == [row_mask_counts(ds, call).tolist() for call in calls]
-        none = np.empty(0, dtype=np.int64)
-        assert ds.item_bits.words(none, none)[0].shape[0] == len(np.unique(pairs))
 
 
 class TestPairCandidates:

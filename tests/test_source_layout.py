@@ -98,3 +98,18 @@ def test_no_two_raise_sites_share_a_message():
                 if isinstance(message, ast.Constant):
                     sites.setdefault(message.value, []).append("%s:%d" % (module, node.lineno))
     assert {message: where for message, where in sites.items() if len(where) > 1} == {}
+
+
+def test_item_bit_sets_are_made_only_in_mining():
+    # the class-ordered word layout of the held bit sets is one decision:
+    # its packing, its popcounts and the lock on its build stay in one module
+    found = set()
+    for module, tree in parsed_modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {alias.name for alias in node.names} | {getattr(node, "module", None)}
+            else:
+                names = {getattr(node, "attr", None), getattr(node, "id", None)}
+            if {"packbits", "bitwise_count", "threading"} & names and module != "mining.py":
+                found.add("%s:%d" % (module, node.lineno))
+    assert sorted(found) == []
