@@ -82,16 +82,15 @@ def _parse_declares(pairs: "list[str] | None") -> "dict[str, ColumnKind] | None"
         name, sep, kind = pair.rpartition("=")
         if not sep or not name:
             raise UsageError("--declare expects NAME=categorical|continuous, got %r" % pair)
-        if kind == "categorical":
-            out[name] = ColumnKind.CATEGORICAL
-        elif kind == "continuous":
-            out[name] = ColumnKind.CONTINUOUS
-        else:
-            raise UsageError("--declare kind must be categorical or continuous, got %r" % kind)
+        try:
+            out[name] = ColumnKind(kind)
+        except ValueError:
+            raise UsageError("--declare kind must be categorical or continuous, got %r" % kind) from None
     return out
 
 
-def _load(args) -> Dataset:
+def _load(args) -> tuple[Dataset, list]:
+    """The input table, its continuous columns binned when --k is given, and the bin maps."""
     declared = _parse_declares(args.declare)
     if args.assume_categorical:
         for name, kind in (declared or {}).items():
@@ -102,7 +101,11 @@ def _load(args) -> Dataset:
             header = next(reader, [])
         declared = dict(declared or {})
         declared.update((name, ColumnKind.CATEGORICAL) for name in header if name != args.label)
-    return load_csv(args.input, args.label, declared_kinds=declared)
+    ds = load_csv(args.input, args.label, declared_kinds=declared)
+    if args.k is None:
+        return ds, []
+    maps = fit_dataset(ds, k=args.k, l=args.l)
+    return apply_dataset(ds, maps), maps
 
 
 def _check_k(args) -> None:
@@ -121,10 +124,9 @@ def _check_k(args) -> None:
         args.l = 10
 
 
-def _binned(ds: Dataset, args) -> tuple[Dataset, list]:
-    """ds with its continuous columns binned by an entropy fit with --k and --l, and the maps."""
-    maps = fit_dataset(ds, k=args.k, l=args.l)
-    return apply_dataset(ds, maps), maps
+def _file_params(args) -> dict:
+    """The manifest params that discretize, mine and transform share."""
+    return {"input": args.input, "label": args.label, "k": args.k, "l": args.l}
 
 
 # -- discretize -------------------------------------------------------------------
@@ -135,7 +137,7 @@ def cmd_discretize(args) -> int:
     # a path that cannot be written leaves the other unwritten too
     map_out = open_output(args.out_map) if args.out_map else nullcontext()
     with map_out as map_f, open_output(args.out_data) as data_f:
-        mapped, maps = _binned(_load(args), args)
+        mapped, maps = _load(args)
         inputs = {args.input: _sha256(args.input)}
         if map_f:
             map_f.write(maps_to_json(maps))
@@ -144,10 +146,7 @@ def cmd_discretize(args) -> int:
         args.out_data,
         "discretize",
         {
-            "input": args.input,
-            "label": args.label,
-            "k": args.k,
-            "l": args.l,
+            **_file_params(args),
             "out_map": args.out_map,
             "columns_discretized": [m.column for m in maps],
             "degenerate_columns": [m.column for m in maps if m.degenerate],
@@ -186,9 +185,7 @@ def cmd_mine(args) -> int:
     _check_k(args)
 
     with open_output(args.out_rules) as f:
-        ds = _load(args)
-        if args.k is not None:
-            ds, _ = _binned(ds, args)
+        ds, _ = _load(args)
         require_features(ds.schema)  # before suggest_params, which takes a width of 0 as usage
 
         if threshold_mode:
@@ -196,13 +193,8 @@ def cmd_mine(args) -> int:
             rules = generate_rules_threshold(result, args.minconf)
             params: dict = {"minsupp": args.minsupp, "minconf": args.minconf}
         else:
-            scoring_name = args.scoring
-            per_class = args.per_class
-            if args.reluctant:
-                scoring_name = "rconf"
-                per_class = True
-            if scoring_name is None:
-                scoring_name = "conf"
+            scoring_name = "rconf" if args.reluctant else args.scoring or "conf"
+            per_class = args.per_class or args.reluctant
             d_freq, d_conf = args.d_freq, args.d_conf
             if d_freq is None or d_conf is None:
                 sf, sc = suggest_params(ds.p, ds.num_classes)
@@ -218,10 +210,7 @@ def cmd_mine(args) -> int:
                 seed=args.seed,
             )
             result = mine_frequent(ds, config)
-            if config.reluctant:
-                rules = select_rules_reluctant(result, config)
-            else:
-                rules = select_rules(result, config)
+            rules = (select_rules_reluctant if config.reluctant else select_rules)(result, config)
             params = {
                 "d_freq": d_freq,
                 "d_conf": d_conf,
@@ -234,10 +223,7 @@ def cmd_mine(args) -> int:
         inputs = {args.input: _sha256(args.input)}
     params.update(
         {
-            "input": args.input,
-            "label": args.label,
-            "k": args.k,
-            "l": args.l,
+            **_file_params(args),
             "seed": args.seed,
             "n": ds.n,
             "p": ds.p,
@@ -270,9 +256,7 @@ def _format_g12(block: np.ndarray) -> list[list[str]]:
 def cmd_transform(args) -> int:
     _check_k(args)
     with open_output(args.out) as f:
-        ds = _load(args)
-        if args.k is not None:
-            ds, _ = _binned(ds, args)
+        ds, _ = _load(args)
         with open_text(args.rules) as rules_f:
             text = rules_f.read()
         antecedents = [ant for ant, _ in parse_rules_jsonl(text, ds.schema)]
@@ -291,12 +275,9 @@ def cmd_transform(args) -> int:
         args.out,
         "transform",
         {
-            "input": args.input,
+            **_file_params(args),
             "rules": args.rules,
-            "label": args.label,
             "mode": args.mode,
-            "k": args.k,
-            "l": args.l,
             "features": len(names),
         },
         inputs,

@@ -274,11 +274,14 @@ def load_csv(
     """Load a CSV file with a header row into a Dataset.
 
     label_column names the class column; every other column becomes a
-    feature. declared_kinds maps column names to the ColumnKind that
-    overrides inference for them. Raises DataError on malformed input:
-    a missing label column, no rows, a ragged row, an empty cell, a
-    non-number in a column declared continuous, bytes that are not UTF-8,
-    or a line the csv reader refuses.
+    feature, its categories numbered by first appearance. Bins made by
+    discretize.apply_dataset are numbered the same way, so a binned table
+    equals the one loaded from its CSV. declared_kinds maps column names to
+    the ColumnKind that overrides inference for them. Raises DataError on
+    malformed input: a missing label column, no rows, a ragged row, an
+    empty cell, a non-number in a column declared continuous, bytes that are
+    not UTF-8, or a line the csv reader refuses. A name the header holds
+    twice, the label's included, is refused by Schema.
     """
     with open_csv(path) as reader:
         try:
@@ -287,8 +290,6 @@ def load_csv(
             raise DataError("file %r has no header row" % path) from None
         rows = list(reader)
 
-    if len(set(header)) != len(header):
-        raise DataError("duplicate column names in header")
     if label_column not in header:
         raise DataError(
             "label column %r not in header %r" % (label_column, header)
@@ -314,12 +315,13 @@ def load_csv(
         if not isinstance(kind, ColumnKind):
             raise UsageError("unknown column kind %r" % (kind,))
 
+    label_pos = header.index(label_column)
     columns: list[np.ndarray] = []
     specs: list[Column] = []
     # one column's cells at a time: a transposed copy of every row would
     # hold a second reference per cell
     for pos, name in enumerate(header):
-        if name == label_column:
+        if pos == label_pos:
             continue
         cells = [row[pos] for row in rows]
         kind = declared.get(name)
@@ -337,7 +339,6 @@ def load_csv(
             columns.append(codes)
             specs.append(Column(name, ColumnKind.CATEGORICAL, categories))
 
-    label_pos = header.index(label_column)
     labels, classes = _encode([row[label_pos] for row in rows])
     schema = Schema(tuple(specs), label_column, classes)
     return Dataset(schema, tuple(columns), labels)

@@ -216,7 +216,10 @@ def apply_dataset(ds: Dataset, maps: list[DiscretizationMap]) -> Dataset:
     """Replace continuous columns with categorical interval columns.
 
     Interval categories are named like "(-inf,2.5]" so downstream rules
-    stay readable; category ids follow interval order.
+    stay readable. A column's categories are the intervals its values fall
+    in, numbered by first appearance, as load_csv numbers any category: the
+    table equals the one loaded from its CSV, so mining or transforming it
+    gives what the binned file gives.
     """
     by_name = {m.column: m for m in maps}
     new_cols: list[np.ndarray] = []
@@ -226,10 +229,14 @@ def apply_dataset(ds: Dataset, maps: list[DiscretizationMap]) -> Dataset:
             dmap = by_name.get(spec.name)
             if dmap is None:
                 raise DataError("no discretization map for continuous column %r" % spec.name)
-            new_cols.append(apply_discretizer(dmap, ds.columns[j]))
-            new_specs.append(
-                Column(spec.name, ColumnKind.CATEGORICAL, tuple(dmap.interval_names()))
-            )
+            ids = apply_discretizer(dmap, ds.columns[j])
+            held, first = np.unique(ids, return_index=True)
+            held = held[np.argsort(first)]
+            renumber = np.zeros(len(dmap.thresholds) + 1, dtype=np.int64)
+            renumber[held] = np.arange(len(held))
+            new_cols.append(renumber[ids])
+            names = dmap.interval_names()
+            new_specs.append(Column(spec.name, ColumnKind.CATEGORICAL, tuple(names[i] for i in held)))
         else:
             new_cols.append(ds.columns[j])
             new_specs.append(spec)

@@ -158,21 +158,6 @@ class RankSpace:
         return [ClassItemset(self.antecedent(x, y), c, s, r) for s, c, r, x, y in rows]
 
 
-def _distinct(values: np.ndarray):
-    """Sorted distinct values and the index of each value among them.
-
-    np.unique's result, from one stable sort and a neighbour comparison.
-    """
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    new = np.empty(len(values), dtype=bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    inverse = np.empty(len(values), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return ordered[new], inverse
-
-
 def top_per_group(support, groups, capacity: int) -> np.ndarray:
     """Indices of each group's `capacity` strongest rows.
 
@@ -222,7 +207,8 @@ def generate_pair_candidates(frequent, space: RankSpace) -> np.ndarray:
     (class, first item, second item) rows with first < second, sorted by
     pair rank, without duplicates; supports are counted separately.
     """
-    ranks, _ = _distinct(np.asarray(frequent, dtype=np.int64).ravel())
+    # without an index or inverse asked for, np.unique loads numpy.ma on first use
+    ranks, _ = np.unique(np.asarray(frequent, dtype=np.int64).ravel(), return_inverse=True)
     classes, items = ranks % space.num_classes, ranks // space.num_classes
     # in (class, item) order, the partners of a singleton follow it in its class's run
     order = np.argsort(classes, kind="stable")
@@ -301,7 +287,7 @@ def count_pairs(ds: Dataset, pairs) -> np.ndarray:
     if not len(pairs) or not ds.n:
         return out
     space = RankSpace(ds.schema)
-    used, local = _distinct(pairs.ravel())
+    used, local = np.unique(pairs.ravel(), return_inverse=True)
     bits, starts = _item_words(ds, [space.items[i] for i in used.tolist()])
     first, second = local.reshape(pairs.shape).T
     step = max(1, CHUNK_WORDS // bits.shape[1])
@@ -316,7 +302,7 @@ def _count_rows(ds: Dataset, rows, space: RankSpace):
 
     The distinct antecedents are counted in one count_pairs call.
     """
-    keys, inverse = _distinct(rows[:, 1] * space.total_items + rows[:, 2])
+    keys, inverse = np.unique(rows[:, 1] * space.total_items + rows[:, 2], return_inverse=True)
     return count_pairs(ds, np.column_stack(np.divmod(keys, space.total_items)))[inverse], len(keys)
 
 

@@ -139,6 +139,28 @@ class TestDiscretize:
         lines = [sorted((tmp_path / name).read_text().splitlines()) for name in ("binned.jsonl", "in-process.jsonl")]
         assert len(lines[0]) < 100 and lines[0] == lines[1]
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_k_in_process_writes_what_the_binned_file_gives(self, seed, tmp_path):
+        # selection breaks ties on category ids, and label mode writes them:
+        # both equal the binned file's only if the bins are numbered alike
+        rng = np.random.default_rng(seed)
+        ticks = rng.integers(0, 300, size=600)
+        rows = ["%d,%s,%s" % (1_700_000_000 + t, rng.choice(["u", "v"]), "abc"[t // 100]) for t in ticks]
+        path = str(tmp_path / "times.csv")
+        binned = str(tmp_path / "binned.csv")
+        with open(path, "w") as f:
+            f.write("t,z,y\n" + "\n".join(rows) + "\n")
+        assert main(["discretize", "--input", path, "--label", "y", "--k", "4", "--out-data", binned]) == 0
+        rules = str(tmp_path / "binned.jsonl")
+        outs = {}
+        for name, source, k in (("binned", binned, []), ("in-process", path, ["--k", "4"])):
+            common = ["--input", source, "--label", "y", *k]
+            outs[name] = str(tmp_path / (name + ".jsonl")), str(tmp_path / (name + ".csv"))
+            assert main(["mine", *common, "--out-rules", outs[name][0]]) == 0
+            assert main(["transform", *common, "--rules", rules, "--mode", "label", "--out", outs[name][1]]) == 0
+        for binned_out, in_process_out in zip(outs["binned"], outs["in-process"]):
+            assert open(binned_out, "rb").read() == open(in_process_out, "rb").read()
+
     def test_assume_categorical_loads_once(self, mixed_csv, tmp_path, monkeypatch):
         import araf.cli
 

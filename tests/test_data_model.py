@@ -96,8 +96,11 @@ class TestLoadCsv:
             load_csv(write(tmp_path, "a,y\n,x\n"), "y")
 
     def test_duplicate_header(self, tmp_path):
-        with pytest.raises(DataError):
+        # Schema refuses each name held twice, a second label column's too
+        with pytest.raises(DataError, match="^'a' is named twice among the columns$"):
             load_csv(write(tmp_path, "a,a,y\n1,2,x\n"), "y")
+        with pytest.raises(DataError, match="^'y' is named twice among the columns$"):
+            load_csv(write(tmp_path, "y,a,y\nx,1,z\n"), "y")
 
     @pytest.mark.parametrize(
         "cell, value",

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from araf.data import Column, ColumnKind, Dataset, Schema, load_csv
+from araf.data import Column, ColumnKind, Dataset, Schema, load_csv, write_csv
 from araf.discretize import (
     DiscretizationMap,
     apply_dataset,
@@ -313,3 +313,46 @@ class TestDatasetLevel:
         out = apply_dataset(ds, fit_dataset(ds, k=2, l=4))
         again = apply_dataset(out, fit_dataset(out, k=2, l=4))
         assert values_equal(again, out)
+
+
+@st.composite
+def clustered_thresholds(draw):
+    """Strictly increasing thresholds in tight clusters, at magnitudes 1e-300 to 1e300 of either sign.
+
+    Within a cluster, each threshold lies a few ULPs or a relative 1e-15 to
+    1e-9 above the one before it.
+    """
+    cuts = set()
+    for _ in range(draw(st.integers(1, 3))):
+        cut = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1.0, 9.99)) * 10.0 ** draw(st.integers(-300, 300))
+        cuts.add(cut)
+        for _ in range(draw(st.integers(0, 4))):
+            if draw(st.booleans()):
+                for _ in range(draw(st.integers(1, 4))):
+                    cut = float(np.nextafter(cut, math.inf))
+            else:
+                cut += abs(cut) * draw(st.floats(1e-15, 1e-9))
+            cuts.add(cut)
+    return tuple(sorted(cuts))
+
+
+class TestClusteredThresholds:
+    @settings(max_examples=150, deadline=None)
+    @given(clustered_thresholds(), st.data())
+    def test_bins_get_distinct_names_and_survive_a_csv_round_trip(self, tmp_path_factory, thresholds, data):
+        dmap = DiscretizationMap("t", len(thresholds) + 1, thresholds)
+        names = dmap.interval_names()
+        assert len(set(names)) == len(names)
+        # a value at each threshold falls in the interval it closes, and one past the last fills the top
+        values = data.draw(st.permutations(thresholds + (float(np.nextafter(thresholds[-1], math.inf)),)))
+        schema = Schema((Column("t", ColumnKind.CONTINUOUS),), "y", ("a", "b"))
+        ds = Dataset(schema, (np.array(values),), np.arange(len(values)) % 2)
+        binned = apply_dataset(ds, [dmap])
+        assert sorted(binned.schema.features[0].categories) == sorted(names)
+        path = tmp_path_factory.mktemp("clustered") / "binned.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            write_csv(binned, fh)
+        loaded = load_csv(str(path), "y")
+        assert loaded.schema == binned.schema
+        assert loaded.columns[0].tolist() == binned.columns[0].tolist()
+        assert loaded.labels.tolist() == binned.labels.tolist()

@@ -113,3 +113,16 @@ def test_item_bit_sets_are_made_only_in_mining():
             if {"packbits", "bitwise_count", "threading"} & names and module != "mining.py":
                 found.add("%s:%d" % (module, node.lineno))
     assert sorted(found) == []
+
+
+def test_cli_loads_and_bins_only_in_load():
+    # discretize, mine and transform read a table the same way: one step
+    # loads it and bins it when --k is given
+    calls = set()
+    for top in parsed_modules()["cli.py"].body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                if callee in ("load_csv", "fit_dataset", "apply_dataset"):
+                    calls.add("%s:%s" % (getattr(top, "name", node.lineno), callee))
+    assert calls == {"_load:load_csv", "_load:fit_dataset", "_load:apply_dataset"}
