@@ -333,21 +333,19 @@ def _design(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _power_iteration_sq(x: np.ndarray, iters: int = 60) -> float:
+def _power_iteration_sq(x: np.ndarray) -> float:
     """Largest eigenvalue of X^T X, deterministic start."""
     d = x.shape[1]
     if d == 0:
         return 0.0
     v = np.ones(d) / np.sqrt(d)
-    est = 1.0
-    for _ in range(iters):
+    for _ in range(60):
         w = x.T @ (x @ v)
         norm = np.linalg.norm(w)
         if norm == 0:
             return 0.0
-        est = norm
         v = w / norm
-    return float(est)
+    return float(norm)
 
 
 def train_logreg(
@@ -362,7 +360,7 @@ def train_logreg(
     400 iterations, or earlier once no gradient entry reaches 1e-6.
     """
     x, y = _design(x, y)
-    if np.unique(y).size < 2:
+    if np.unique(y, return_inverse=True)[0].size < 2:
         raise DataError("training labels contain a single class")
     n, d = x.shape
     lam = penalty / n
@@ -374,42 +372,22 @@ def train_logreg(
     lipschitz = 0.5 * (_power_iteration_sq(x) + n) / n + lam
     step = 1.0 / max(lipschitz, 1e-12)
 
-    w = np.zeros((d, num_classes))
-    b = np.zeros(num_classes)
-    w_prev, b_prev = w.copy(), b.copy()
-    # every iteration computes, in place in these buffers,
-    #   wv = w + mu * (w - w_prev)           bv likewise
-    #   g = (softmax(x @ wv + bv) - onehot) / n
-    #   gw = x.T @ g + lam * wv              gb = g.sum(axis=0)
-    #   w, w_prev = wv - step * gw, w        b, b_prev likewise
-    # with the same operations on the same operands, so the model is the
-    # one the expressions above give, bit for bit
-    wv, bv = np.empty_like(w), np.empty_like(b)
-    gw, shrink = np.empty_like(w), np.empty_like(w)
-    z = np.empty((n, num_classes))
+    w = w_prev = np.zeros((d, num_classes))
+    b = b_prev = np.zeros(num_classes)
     for t in range(1, 401):
         mu = (t - 1) / (t + 2)
-        np.subtract(w, w_prev, out=wv)
-        wv *= mu
-        wv += w
-        np.subtract(b, b_prev, out=bv)
-        bv *= mu
-        bv += b
-        np.matmul(x, wv, out=z)
+        wv = w + mu * (w - w_prev)
+        bv = b + mu * (b - b_prev)
+        z = x @ wv
         z += bv
         g = _softmax(z)
         g -= onehot
         g /= n
-        np.matmul(x.T, g, out=gw)
-        np.multiply(wv, lam, out=shrink)
-        gw += shrink
+        gw = x.T @ g
+        gw += lam * wv
         gb = g.sum(axis=0)
-        np.multiply(gw, step, out=w_prev)
-        np.subtract(wv, w_prev, out=w_prev)
-        w, w_prev = w_prev, w
-        np.multiply(gb, step, out=b_prev)
-        np.subtract(bv, b_prev, out=b_prev)
-        b, b_prev = b_prev, b
+        w_prev, b_prev = w, b
+        w, b = wv - step * gw, bv - step * gb
         if max(np.abs(gw).max(initial=0.0), np.abs(gb).max(initial=0.0)) < 1e-6:
             break
     return LogisticModel(weights=w, bias=b)
@@ -432,7 +410,7 @@ def stratified_split(
     whenever it has at least two rows."""
     rng = np.random.Generator(np.random.PCG64(seed))
     train, test = [], []
-    for c in np.unique(labels):
+    for c in np.unique(labels, return_inverse=True)[0]:
         idx = np.flatnonzero(labels == c)
         idx = idx[rng.permutation(idx.size)]
         k = int(round(test_fraction * idx.size))
@@ -559,7 +537,7 @@ def run_freq_trial(
     """
     config = MiningConfig(d_freq, d_freq, subsample=n_prime, seed=seed)
     result = mine_frequent(ds, config)
-    mined = {(t.antecedent, t.class_id) for t in result.all_itemsets()}
+    mined = {(result.space.antecedent(a, b), c) for c, a, b in result.rows.tolist()}
     truths = freq_ground_truth()
     hit = all((ant, 0) in mined for ant, _ in truths)
     estimates = estimate_frequencies(ds, [ant for ant, _ in truths], n_prime, seed)

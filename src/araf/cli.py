@@ -18,6 +18,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 from contextlib import nullcontext
 from datetime import datetime, timezone
@@ -52,12 +53,15 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def write_manifest(out_path: str, command: str, params: dict, inputs: dict[str, str]) -> str:
-    """Record what produced out_path; returns the manifest path.
+def write_manifest(out_path: str, command: str, params: dict, inputs: dict[str, str]) -> "str | None":
+    """Record what produced out_path; returns the manifest path, or None if none is written.
 
     inputs maps each input path to its sha256, taken before any output of the
     run was moved into place, since an output may replace one of its inputs.
+    A pipe, /dev/stdout or other out_path that is not a regular file gets no manifest.
     """
+    if os.path.exists(out_path) and not os.path.isfile(out_path):
+        return None
     manifest = {
         "tool": "araf",
         "version": __version__,

@@ -92,7 +92,7 @@ def info_gain(labels, partition, num_classes: "int | None" = None) -> float:
     total = entropy(np.bincount(labels, minlength=num_classes))
     n = labels.size
     weighted = 0.0
-    for part in np.unique(partition):
+    for part in np.unique(partition, return_inverse=True)[0]:
         sub = labels[partition == part]
         weighted += (sub.size / n) * entropy(np.bincount(sub, minlength=num_classes))
     return total - weighted

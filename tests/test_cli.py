@@ -5,6 +5,10 @@ import errno
 import hashlib
 import json
 import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -465,6 +469,23 @@ class TestBench:
         assert len(rrows) == 1 + 15
         assert sorted(os.listdir(tmp_path)) == ["recovery.csv", "recovery.csv.manifest.json"]
 
+    def test_bench_leaves_numpy_ma_unloaded(self, tmp_path):
+        # a plain np.unique imports numpy.ma, 9-14 ms and about 0.7 MB that no
+        # araf code uses; a fresh process shows whether any bench path does
+        code = (
+            "import sys\n"
+            "from araf import cli\n"
+            "rc = cli.main(['bench', '--variant', 's1', '--n', '300', '--p', '9',"
+            " '--trials', '1', '--out', sys.argv[1]])\n"
+            "print(rc, 'numpy.ma' in sys.modules)\n"
+        )
+        src = Path(cli.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "metrics.csv")],
+            capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.stdout.split() == ["0", "False"], done.stderr
+
     def test_freq_smoke(self, tmp_path):
         out = str(tmp_path / "recovery.csv")
         rc = main(
@@ -666,6 +687,23 @@ class TestAtomicOutputs:
         os.close(write_end)
         with os.fdopen(read_end) as r:
             assert r.read() == "piped\n"
+
+    def test_fifo_output_gets_no_manifest(self, categorical_csv, tmp_path):
+        # a pipe is written directly and has no directory entry to put a manifest beside
+        plain = tmp_path / "plain.jsonl"
+        assert main(["mine", "--input", categorical_csv, "--label", "y", "--out-rules", str(plain)]) == 0
+        fifo = tmp_path / "rules.jsonl"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            rc = main(["mine", "--input", categorical_csv, "--label", "y", "--out-rules", str(fifo)])
+        finally:
+            reader.join(timeout=60)
+        assert rc == 0 and not reader.is_alive()
+        assert received == [plain.read_bytes()]
+        assert sorted(p.name for p in tmp_path.glob("*.manifest.json")) == ["plain.jsonl.manifest.json"]
 
     def test_transform_failing_partway_keeps_the_earlier_output(
         self, categorical_csv, tmp_path, monkeypatch, capsys

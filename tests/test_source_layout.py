@@ -126,3 +126,17 @@ def test_cli_loads_and_bins_only_in_load():
                 if callee in ("load_csv", "fit_dataset", "apply_dataset"):
                     calls.add("%s:%s" % (getattr(top, "name", node.lineno), callee))
     assert calls == {"_load:load_csv", "_load:fit_dataset", "_load:apply_dataset"}
+
+
+def test_np_unique_asks_for_an_index_or_inverse():
+    # without return_index or return_inverse, np.unique (NumPy 2.4) calls
+    # np.ma.is_masked, which imports numpy.ma on first use: 9-14 ms and about
+    # 0.7 MB in every process, for a module araf never uses
+    found = set()
+    for module, tree in parsed_modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "unique":
+                keywords = {kw.arg for kw in node.keywords}
+                if not {"return_index", "return_inverse"} & keywords:
+                    found.add("%s:%d" % (module, node.lineno))
+    assert sorted(found) == []
