@@ -26,7 +26,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .data import ColumnKind, Dataset, load_csv, open_csv, open_output, open_text, write_csv
+from .data import Column, ColumnKind, Dataset, Schema, load_csv, open_csv, open_output, open_text, write_csv
 from .discretize import apply_dataset, fit_dataset, maps_to_json
 from .errors import ArafError, DataError, UsageError, check_mining_values
 from .features import FeatureMode, suggest_params, transform
@@ -243,37 +243,19 @@ def cmd_mine(args) -> int:
 # -- transform ----------------------------------------------------------------------
 
 
-_BLOCK_ROWS = 512
-"""Rows of the feature matrix formatted at a time; a block's cells are held until written."""
-
-
-def _format_g12(block: np.ndarray) -> list[list[str]]:
-    """'%.12g' of each cell as row lists, formatting each distinct value once.
-
-    Category ids and 0/1 indicators take only a few distinct values.
-    """
-    distinct, inverse = np.unique(block, return_inverse=True)
-    text = np.array(["%.12g" % v for v in distinct], dtype=object)
-    return text[inverse.reshape(block.shape)].tolist()
-
-
 def cmd_transform(args) -> int:
     _check_k(args)
     with open_output(args.out) as f:
         ds, _ = _load(args)
         with open_text(args.rules) as rules_f:
             text = rules_f.read()
-        antecedents = [ant for ant, _ in parse_rules_jsonl(text, ds.schema)]
-        matrix, names = transform(ds, antecedents, FeatureMode(args.mode))
-        labels = np.array(ds.schema.classes, dtype=object)[ds.labels]
-        writer = csv.writer(f)
-        writer.writerow(names + [ds.schema.label_name])
-        for start in range(0, ds.n, _BLOCK_ROWS):
-            stop = start + _BLOCK_ROWS
-            rows = _format_g12(matrix[start:stop])
-            for row, lab in zip(rows, labels[start:stop].tolist()):
-                row.append(lab)
-            writer.writerows(rows)
+        matrix, names = transform(ds, parse_rules_jsonl(text, ds.schema), FeatureMode(args.mode))
+        # every cell is a category id or a 0/1 indicator, whose "%.12g" is its digits
+        top = int(matrix.max(initial=0))
+        digits = tuple(map(str, range(top + 1)))
+        features = tuple(Column(name, ColumnKind.CATEGORICAL, digits) for name in names)
+        schema = Schema(features, ds.schema.label_name, ds.schema.classes)
+        write_csv(Dataset(schema, tuple(matrix.astype(np.min_scalar_type(top)).T), ds.labels), f)
         inputs = {path: _sha256(path) for path in (args.input, args.rules)}
     write_manifest(
         args.out,

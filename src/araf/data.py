@@ -344,21 +344,27 @@ def load_csv(
     return Dataset(schema, tuple(columns), labels)
 
 
-def write_csv(ds: Dataset, fh) -> None:
-    """Write the dataset as CSV to fh; loading the result preserves values.
+WRITE_ROWS = 1 << 12
+"""Rows write_csv formats at a time; a block's cells are held until written."""
 
-    fh is a text file opened with newline="", as open_output opens one.
+
+def write_csv(ds: Dataset, fh) -> None:
+    """Write the dataset as CSV to fh, WRITE_ROWS rows at a time; loading the result preserves values.
+
+    A categorical cell is written as its category, a continuous one as the
+    repr of its float. fh is a text file opened with newline="", as
+    open_output opens one.
     """
-    cols = []
-    for spec, col in zip(ds.schema.features, ds.columns):
-        if spec.kind is ColumnKind.CATEGORICAL:
-            cols.append(np.array(spec.categories, dtype=object)[col].tolist())
-        else:
-            cols.append(map(repr, col.astype(np.float64).tolist()))
-    cols.append(np.array(ds.schema.classes, dtype=object)[ds.labels].tolist())
+    texts = [np.array(spec.categories, dtype=object) if spec.kind is ColumnKind.CATEGORICAL else None
+             for spec in ds.schema.features] + [np.array(ds.schema.classes, dtype=object)]
     writer = csv.writer(fh)
     writer.writerow([c.name for c in ds.schema.features] + [ds.schema.label_name])
-    writer.writerows(zip(*cols))
+    for start in range(0, ds.n, WRITE_ROWS):
+        blocks = [col[start:start + WRITE_ROWS] for col in ds.columns + (ds.labels,)]
+        writer.writerows(zip(*(
+            map(repr, block.astype(np.float64).tolist()) if text is None else text[block].tolist()
+            for text, block in zip(texts, blocks)
+        )))
 
 
 def binary_dataset(

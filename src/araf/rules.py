@@ -198,12 +198,13 @@ def rules_to_jsonl(rules, schema: Schema) -> str:
     return "\n".join(json.dumps(rule_to_dict(r, schema)) for r in rules)
 
 
-def _rule_fields(line: str, lineno: int) -> tuple[list, object]:
-    """The (feature, category) pairs and the class of one rules line."""
+def _rule_pairs(line: str, lineno: int) -> list:
+    """The (feature, category) pairs of one rules line, which must also name a class."""
     try:
         raw = json.loads(line)
         pairs = [(entry["feature"], entry["category"]) for entry in raw["antecedent"]]
-        return pairs, raw["class"]
+        raw["class"]  # a rule without one is malformed, though a feature does not use it
+        return pairs
     except json.JSONDecodeError as exc:
         raise DataError("rules line %d is not valid JSON: %s" % (lineno, exc)) from None
     except KeyError as exc:
@@ -212,18 +213,19 @@ def _rule_fields(line: str, lineno: int) -> tuple[list, object]:
         raise DataError("rules line %d is not a rule object" % lineno) from None
 
 
-def parse_rules_jsonl(text: str, schema: Schema) -> list[tuple[Antecedent, int]]:
-    """Resolve every rule of a JSON lines text to its (antecedent, class id).
+def parse_rules_jsonl(text: str, schema: Schema) -> list[Antecedent]:
+    """Resolve every rule of a JSON lines text to its antecedent.
 
-    A line that is not a rule object, or that names a feature, category
-    or class the schema lacks, raises DataError.
+    A line that is not a rule object, or that names a feature or category
+    the schema lacks, raises DataError. Its class is not looked up, so the
+    rules of a class the schema lacks still resolve.
     """
     out = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
-        pairs, cls = _rule_fields(line, lineno)
+        pairs = _rule_pairs(line, lineno)
         items = []
         for feature, category in pairs:
             try:
@@ -236,7 +238,5 @@ def parse_rules_jsonl(text: str, schema: Schema) -> list[tuple[Antecedent, int]]
                     "unknown category %r for feature %r" % (category, feature)
                 )
             items.append((j, cats.index(category)))
-        if cls not in schema.classes:
-            raise DataError("unknown class %r" % cls)
-        out.append((canonical_antecedent(items), schema.classes.index(cls)))
+        out.append(canonical_antecedent(items))
     return out

@@ -13,9 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from araf import cli
+from araf import cli, data
 from araf.cli import main, write_manifest
-from araf.data import open_output
+from araf.data import load_csv, open_output
+from araf.features import FeatureMode, transform
+from araf.rules import parse_rules_jsonl
 
 
 @pytest.fixture
@@ -400,6 +402,56 @@ class TestTransform:
         )
         assert rc == 3
 
+    def test_rules_of_a_class_the_file_lacks_still_apply(self, tmp_path):
+        # a class plays no part in a feature, so the scored file need not hold it
+        train = tmp_path / "train.csv"
+        train.write_text("f,y\nu,a\nv,b\nu,a\nv,b\n")
+        scored = tmp_path / "scored.csv"
+        scored.write_text("f,y\nu,a\nv,a\nu,a\n")
+        rules = str(tmp_path / "rules.jsonl")
+        out = tmp_path / "feat.csv"
+        assert main(["mine", "--input", str(train), "--label", "y", "--out-rules", rules]) == 0
+        assert '"class": "b"' in open(rules).read()
+        rc = main(["transform", "--input", str(scored), "--label", "y", "--rules", rules,
+                   "--mode", "label", "--out", str(out)])
+        assert rc == 0
+        header = out.read_text().splitlines()[0].split(",")
+        assert set(header[1:-1]) == {"f=u", "f=v"}
+
+    def test_column_name_given_twice_is_refused(self, tmp_path, capsys):
+        # label mode names the indicator of f=1 as the column f=1 is already named
+        table = tmp_path / "t.csv"
+        table.write_text("f=1,f,y\n1,1,a\n0,1,b\n1,0,a\n0,0,b\n")
+        rules = tmp_path / "rules.jsonl"
+        rules.write_text('{"antecedent": [{"feature": "f", "category": "1"}], "class": "a"}\n')
+        out = tmp_path / "feat.csv"
+        out.write_bytes(b"earlier\n")
+        rc = main(["transform", "--input", str(table), "--label", "y", "--assume-categorical",
+                   "--rules", str(rules), "--mode", "label", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == "data error: 'f=1' is named twice among the columns\n"
+        assert out.read_bytes() == b"earlier\n"
+
+    @pytest.mark.parametrize("mode", ["label", "onehot"])
+    def test_writes_each_cell_as_g12_across_blocks(self, mode, categorical_csv, tmp_path, monkeypatch):
+        # the matrix is written through write_csv as category ids; its bytes
+        # stay those of a row-by-row "%.12g" of the float matrix
+        rules = str(tmp_path / "rules.jsonl")
+        out = tmp_path / "feat.csv"
+        assert main(["mine", "--input", categorical_csv, "--label", "y", "--out-rules", rules]) == 0
+        monkeypatch.setattr(data, "WRITE_ROWS", 3)
+        assert main(["transform", "--input", categorical_csv, "--label", "y", "--rules", rules,
+                     "--mode", mode, "--out", str(out)]) == 0
+        ds = load_csv(categorical_csv, "y")
+        matrix, names = transform(ds, parse_rules_jsonl(open(rules).read(), ds.schema), FeatureMode(mode))
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(names + ["y"])
+            for row, label in zip(matrix, ds.labels):
+                writer.writerow(["%.12g" % v for v in row] + [ds.schema.classes[label]])
+        assert ds.n > 3 * 2
+        assert out.read_bytes() == ref.read_bytes()
 
     @pytest.mark.parametrize(
         "corrupt, message",
@@ -705,27 +757,39 @@ class TestAtomicOutputs:
         assert received == [plain.read_bytes()]
         assert sorted(p.name for p in tmp_path.glob("*.manifest.json")) == ["plain.jsonl.manifest.json"]
 
-    def test_transform_failing_partway_keeps_the_earlier_output(
-        self, categorical_csv, tmp_path, monkeypatch, capsys
+    @pytest.mark.parametrize("command", ["discretize", "transform"])
+    def test_failing_partway_keeps_the_earlier_output(
+        self, command, mixed_csv, categorical_csv, tmp_path, monkeypatch, capsys
     ):
+        # both write their table through data.write_csv, a block of rows at a time
         rules = str(tmp_path / "rules.jsonl")
         assert main(["mine", "--input", categorical_csv, "--label", "y", "--out-rules", rules]) == 0
-        out = tmp_path / "features.csv"
+        out = tmp_path / "out.csv"
         out.write_bytes(b"earlier\n")
         before = sorted(os.listdir(tmp_path))
         calls = []
-        real = cli._format_g12
+        real = csv.writer
 
-        def full_disk_on_second_block(block):
-            calls.append(1)
-            if len(calls) == 2:
-                raise OSError(errno.ENOSPC, "No space left on device")
-            return real(block)
+        class FullDiskOnSecondBlock:
+            def __init__(self, fh):
+                self.writer = real(fh)
+                self.writerow = self.writer.writerow
 
-        monkeypatch.setattr(cli, "_BLOCK_ROWS", 16)
-        monkeypatch.setattr(cli, "_format_g12", full_disk_on_second_block)
-        rc = main(["transform", "--input", categorical_csv, "--label", "y", "--rules", rules,
-                   "--mode", "label", "--out", str(out)])
+            def writerows(self, rows):
+                calls.append(1)
+                if len(calls) == 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.writer.writerows(rows)
+
+        monkeypatch.setattr(data, "WRITE_ROWS", 16)
+        monkeypatch.setattr(csv, "writer", FullDiskOnSecondBlock)
+        argv = {
+            "discretize": ["discretize", "--input", mixed_csv, "--label", "y", "--k", "3",
+                           "--out-data", str(out)],
+            "transform": ["transform", "--input", categorical_csv, "--label", "y", "--rules", rules,
+                          "--mode", "label", "--out", str(out)],
+        }[command]
+        rc = main(argv)
         assert rc == 3 and len(calls) == 2
         assert "No space left" in capsys.readouterr().err
         assert out.read_bytes() == b"earlier\n"

@@ -276,7 +276,7 @@ class TestSerialization:
         rules = select_rules(mine_frequent(ds, config), config)
         text = rules_to_jsonl(rules, ds.schema)
         back = parse_rules_jsonl(text, ds.schema)
-        assert back == [(r.antecedent, r.class_id) for r in rules]
+        assert back == [r.antecedent for r in rules]
 
 
 class TestOracleScoreAgreement:

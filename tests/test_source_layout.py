@@ -140,3 +140,15 @@ def test_np_unique_asks_for_an_index_or_inverse():
                 if not {"return_index", "return_inverse"} & keywords:
                     found.add("%s:%d" % (module, node.lineno))
     assert sorted(found) == []
+
+
+def test_tables_are_written_only_by_write_csv():
+    # discretize and transform write their tables through one writer, a block
+    # of rows at a time; cmd_bench's metrics and recovery files are row lists
+    sites = set()
+    for module, tree in parsed_modules().items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "writer":
+                    sites.add("%s:%s" % (module, getattr(top, "name", node.lineno)))
+    assert sites == {"data.py:write_csv", "cli.py:cmd_bench"}
