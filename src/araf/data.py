@@ -15,13 +15,17 @@ CSV handling follows the usual quoting conventions (header row required,
 UTF-8, a leading byte-order mark dropped). Rows with missing cells are
 rejected at load time rather than imputed; column kinds are inferred (a
 column is continuous iff every cell parses as a finite number) unless the
-caller declares them.
+caller declares them. Input is read, and output written, in blocks of
+BLOCK_ROWS rows, so no more than one block's cells are held as text. A
+column that turns categorical after its first block is read again from the
+file, since a parsed float does not give back the text it was read from.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -201,10 +205,16 @@ def _parse_reals(cells) -> "np.ndarray | None":
     return reals if np.isfinite(reals).all() else None
 
 
-def _encode(cells) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Category ids in first-appearance order, and the categories in that order."""
-    ids = {c: i for i, c in enumerate(dict.fromkeys(cells))}
-    return np.fromiter(map(ids.__getitem__, cells), dtype=np.int64, count=len(cells)), tuple(ids)
+def _encode(cells, ids: dict) -> np.ndarray:
+    """Category ids of cells as int32, numbering cells not yet in ids after those held.
+
+    ids maps each category met so far to its id, in first-appearance order;
+    it is extended in place, so encoding a column block by block gives the
+    ids of one pass over the whole column.
+    """
+    new = [c for c in dict.fromkeys(cells) if c not in ids]
+    ids.update(zip(new, range(len(ids), len(ids) + len(new))))
+    return np.fromiter(map(ids.__getitem__, cells), dtype=np.int32, count=len(cells))
 
 
 @contextmanager
@@ -266,90 +276,134 @@ def open_csv(path: str):
             raise DataError("file %r line %d: %s" % (path, reader.line_num, exc)) from None
 
 
+BLOCK_ROWS = 256
+"""Rows load_csv reads and write_csv writes at a time; only one block's cells are held as text."""
+
+
+def _blocks(reader, width: int):
+    """The reader's rows in lists of up to BLOCK_ROWS, each row checked to hold width non-empty cells.
+
+    A faulty row is named by its position counted as if the header were row 1
+    and every row one line.
+    """
+    row = 2
+    while block := list(itertools.islice(reader, BLOCK_ROWS)):
+        for cells in block:
+            if len(cells) != width:
+                raise DataError("row %d has %d cells, header has %d" % (row, len(cells), width))
+            if "" in cells:
+                raise DataError("row %d has an empty cell" % row)
+            row += 1
+        yield block
+
+
+def _encode_again(path: str, width: int, nblocks: int, columns: dict) -> None:
+    """Encode the first nblocks blocks of rows of the file at path again, for the given columns.
+
+    columns maps a column's position to its (ids, code blocks), which the
+    blocks' ids are put into as load_csv puts them.
+    """
+    with open_csv(path) as reader:
+        next(reader)
+        for block in itertools.islice(_blocks(reader, width), nblocks):
+            cells = list(zip(*block))
+            for pos, (ids, codes) in columns.items():
+                codes.append(_encode(cells[pos], ids))
+
+
 def load_csv(
     path: str,
     label_column: str,
     declared_kinds: "dict[str, ColumnKind] | None" = None,
 ) -> Dataset:
-    """Load a CSV file with a header row into a Dataset.
+    """Load a CSV file with a header row into a Dataset, reading BLOCK_ROWS rows at a time.
 
     label_column names the class column; every other column becomes a
     feature, its categories numbered by first appearance. Bins made by
     discretize.apply_dataset are numbered the same way, so a binned table
     equals the one loaded from its CSV. declared_kinds maps column names to
-    the ColumnKind that overrides inference for them. Raises DataError on
-    malformed input: a missing label column, no rows, a ragged row, an
-    empty cell, a non-number in a column declared continuous, bytes that are
-    not UTF-8, or a line the csv reader refuses. A name the header holds
-    twice, the label's included, is refused by Schema.
+    the ColumnKind that overrides inference for them.
+
+    The header, the label column and declared_kinds are checked before any
+    row is read: a declared kind for a column the header lacks, for the
+    label, or that is not a ColumnKind raises UsageError. A column is held
+    as float64 blocks while all its cells parse as finite numbers, and as
+    category ids once one does not; a column that turns categorical after
+    its first block has its earlier cells read again from path.
+
+    Raises DataError on malformed input: a missing label column, no rows, a
+    ragged row, an empty cell, a non-number in a column declared continuous
+    (reported only once every row has been checked), bytes that are not
+    UTF-8, or a line the csv reader refuses. A name the header holds twice,
+    the label's included, is refused by Schema.
     """
-    with open_csv(path) as reader:
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("file %r has no header row" % path) from None
-        rows = list(reader)
-
-    if label_column not in header:
-        raise DataError(
-            "label column %r not in header %r" % (label_column, header)
-        )
-    if not rows:
-        raise DataError("file %r has a header but no data rows" % path)
-
-    width = len(header)
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise DataError(
-                "row %d has %d cells, header has %d" % (i + 2, len(row), width)
-            )
-        if "" in row:
-            raise DataError("row %d has an empty cell" % (i + 2))
-
     declared = declared_kinds or {}
-    for name, kind in declared.items():
-        if name not in header:
-            raise UsageError("declared kind for unknown column %r" % name)
-        if name == label_column:
-            raise UsageError("declared kind for label column %r, which is always categorical" % name)
-        if not isinstance(kind, ColumnKind):
-            raise UsageError("unknown column kind %r" % (kind,))
+    with open_csv(path) as reader:
+        header = next(reader, None)
+        if header is None:
+            raise DataError("file %r has no header row" % path)
+        if label_column not in header:
+            raise DataError("label column %r not in header %r" % (label_column, header))
+        for name, kind in declared.items():
+            if name not in header:
+                raise UsageError("declared kind for unknown column %r" % name)
+            if name == label_column:
+                raise UsageError("declared kind for label column %r, which is always categorical" % name)
+            if not isinstance(kind, ColumnKind):
+                raise UsageError("unknown column kind %r" % (kind,))
 
-    label_pos = header.index(label_column)
+        label_pos = header.index(label_column)
+        reals = {pos: [] for pos, name in enumerate(header)
+                 if pos != label_pos and declared.get(name) is not ColumnKind.CATEGORICAL}
+        ids = {pos: {} for pos in range(len(header)) if pos not in reals}
+        codes = {pos: [] for pos in ids}
+        bad = {}  # position -> first cell of a column declared continuous that is not a number
+        nblocks = 0
+        for block in _blocks(reader, len(header)):
+            cells = list(zip(*block))
+            flipped = {}
+            for pos in list(reals):
+                values = _parse_reals(cells[pos])
+                if values is not None:
+                    reals[pos].append(values)
+                    continue
+                del reals[pos]
+                if declared.get(header[pos]) is ColumnKind.CONTINUOUS:
+                    bad[pos] = next(c for c in cells[pos] if _parse_reals((c,)) is None)
+                else:
+                    ids[pos], codes[pos] = flipped[pos] = {}, []
+            if flipped and nblocks:
+                _encode_again(path, len(header), nblocks, flipped)
+            for pos, seen in ids.items():
+                codes[pos].append(_encode(cells[pos], seen))
+            nblocks += 1
+
+    if not nblocks:
+        raise DataError("file %r has a header but no data rows" % path)
+    if bad:
+        pos = min(bad)
+        raise DataError("column %r declared continuous but cell %r is not a number" % (header[pos], bad[pos]))
+
+    def joined(pos: int) -> np.ndarray:
+        # one copy, straight into the dtype Dataset narrows the ids to
+        dtype = np.min_scalar_type(len(ids[pos]) - 1)
+        return np.concatenate(codes[pos], dtype=dtype, casting="unsafe")
+
     columns: list[np.ndarray] = []
     specs: list[Column] = []
-    # one column's cells at a time: a transposed copy of every row would
-    # hold a second reference per cell
     for pos, name in enumerate(header):
-        if pos == label_pos:
-            continue
-        cells = [row[pos] for row in rows]
-        kind = declared.get(name)
-        reals = None if kind is ColumnKind.CATEGORICAL else _parse_reals(cells)
-        if kind is ColumnKind.CONTINUOUS and reals is None:
-            bad = next(c for c in cells if _parse_reals((c,)) is None)
-            raise DataError(
-                "column %r declared continuous but cell %r is not a number" % (name, bad)
-            )
-        if reals is not None:
-            columns.append(reals)
+        if pos in reals:
+            columns.append(np.concatenate(reals[pos]))
             specs.append(Column(name, ColumnKind.CONTINUOUS))
-        else:
-            codes, categories = _encode(cells)
-            columns.append(codes)
-            specs.append(Column(name, ColumnKind.CATEGORICAL, categories))
-
-    labels, classes = _encode([row[label_pos] for row in rows])
-    schema = Schema(tuple(specs), label_column, classes)
-    return Dataset(schema, tuple(columns), labels)
-
-
-WRITE_ROWS = 1 << 12
-"""Rows write_csv formats at a time; a block's cells are held until written."""
+        elif pos != label_pos:
+            columns.append(joined(pos))
+            specs.append(Column(name, ColumnKind.CATEGORICAL, tuple(ids[pos])))
+    schema = Schema(tuple(specs), label_column, tuple(ids[label_pos]))
+    return Dataset(schema, tuple(columns), joined(label_pos))
 
 
 def write_csv(ds: Dataset, fh) -> None:
-    """Write the dataset as CSV to fh, WRITE_ROWS rows at a time; loading the result preserves values.
+    """Write the dataset as CSV to fh, BLOCK_ROWS rows at a time; loading the result preserves values.
 
     A categorical cell is written as its category, a continuous one as the
     repr of its float. fh is a text file opened with newline="", as
@@ -359,8 +413,8 @@ def write_csv(ds: Dataset, fh) -> None:
              for spec in ds.schema.features] + [np.array(ds.schema.classes, dtype=object)]
     writer = csv.writer(fh)
     writer.writerow([c.name for c in ds.schema.features] + [ds.schema.label_name])
-    for start in range(0, ds.n, WRITE_ROWS):
-        blocks = [col[start:start + WRITE_ROWS] for col in ds.columns + (ds.labels,)]
+    for start in range(0, ds.n, BLOCK_ROWS):
+        blocks = [col[start:start + BLOCK_ROWS] for col in ds.columns + (ds.labels,)]
         writer.writerows(zip(*(
             map(repr, block.astype(np.float64).tolist()) if text is None else text[block].tolist()
             for text, block in zip(texts, blocks)

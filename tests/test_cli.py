@@ -439,7 +439,7 @@ class TestTransform:
         rules = str(tmp_path / "rules.jsonl")
         out = tmp_path / "feat.csv"
         assert main(["mine", "--input", categorical_csv, "--label", "y", "--out-rules", rules]) == 0
-        monkeypatch.setattr(data, "WRITE_ROWS", 3)
+        monkeypatch.setattr(data, "BLOCK_ROWS", 3)
         assert main(["transform", "--input", categorical_csv, "--label", "y", "--rules", rules,
                      "--mode", mode, "--out", str(out)]) == 0
         ds = load_csv(categorical_csv, "y")
@@ -781,7 +781,7 @@ class TestAtomicOutputs:
                     raise OSError(errno.ENOSPC, "No space left on device")
                 self.writer.writerows(rows)
 
-        monkeypatch.setattr(data, "WRITE_ROWS", 16)
+        monkeypatch.setattr(data, "BLOCK_ROWS", 16)
         monkeypatch.setattr(csv, "writer", FullDiskOnSecondBlock)
         argv = {
             "discretize": ["discretize", "--input", mixed_csv, "--label", "y", "--k", "3",
@@ -924,6 +924,15 @@ class TestErrors:
             "usage error: declared kind for label column 'y', which is always categorical\n"
         )
         assert os.listdir(tmp_path) == ["cat.csv"]
+
+    def test_a_bad_declare_is_refused_before_a_ragged_row(self, tmp_path, capsys):
+        # declared kinds are checked against the header before any row is read
+        path = tmp_path / "d.csv"
+        path.write_text("a,y\n1,x\n1,x,2\n")
+        rc = main(["mine", "--input", str(path), "--label", "y", "--declare", "b=categorical",
+                   "--out-rules", str(tmp_path / "r.jsonl")])
+        assert rc == 2
+        assert capsys.readouterr().err == "usage error: declared kind for unknown column 'b'\n"
 
     @pytest.mark.parametrize("command", ["discretize", "mine", "transform"])
     def test_k_too_small(self, command, mixed_csv, tmp_path, capsys):

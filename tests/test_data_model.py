@@ -4,11 +4,12 @@ import csv
 import io
 import pickle
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from araf import data
@@ -27,7 +28,7 @@ from araf.errors import DataError, UsageError
 from araf.features import FeatureMode, transform
 from araf.mining import MiningConfig, Scoring, count_pairs, count_singletons, mine_frequent, mine_with_thresholds
 from araf.sampling import subsample
-from reference import decode_cell, encode_by_setdefault, values_equal
+from reference import decode_cell, encode_by_setdefault, reference_load_csv, values_equal
 
 
 def write(tmp_path, text, name="d.csv"):
@@ -204,7 +205,7 @@ class TestRoundTripProperty:
         with open(src, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows([header] + rows)
         ds = load_csv(str(src), "y")
-        with mock.patch.object(data, "WRITE_ROWS", block_rows):
+        with mock.patch.object(data, "BLOCK_ROWS", block_rows):
             write_csv_file(ds, str(tmp / "a.csv"))
             reference_write_csv(ds, str(tmp / "ref.csv"))
             again = load_csv(str(tmp / "a.csv"), "y")
@@ -218,13 +219,116 @@ class TestRoundTripProperty:
 
 class TestEncode:
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.text(max_size=3) | st.sampled_from(["a", "b", "1", "1.0", " a"]), max_size=60))
-    def test_matches_the_setdefault_comprehension(self, cells):
-        codes, categories = _encode(cells)
+    @given(st.lists(st.text(max_size=3) | st.sampled_from(["a", "b", "1", "1.0", " a"]), max_size=60),
+           st.integers(1, 7))
+    def test_matches_the_setdefault_comprehension(self, cells, block):
+        # encoded a block at a time into one running dict, as load_csv does
+        ids = {}
+        blocks = [_encode(cells[i:i + block], ids) for i in range(0, len(cells), block)]
         want_codes, want_categories = encode_by_setdefault(cells)
-        assert codes.dtype == want_codes.dtype == np.int64
-        assert codes.tolist() == want_codes.tolist()
-        assert categories == want_categories
+        assert all(codes.dtype == np.int32 for codes in blocks)
+        assert [c for codes in blocks for c in codes.tolist()] == want_codes.tolist()
+        assert tuple(ids) == want_categories
+
+
+NUMBER_CELLS = CELL_REAL | st.sampled_from(["0.1230", "1_000", " 1.5", "-0", "1e5"])
+FLIP_CELLS = st.sampled_from(["nan", "inf", "1e400", "x", "0.1230x", "\u00e9"])
+
+
+@st.composite
+def block_edge_files(draw):
+    """A CSV's text and declared kinds, its columns turning categorical at drawn rows.
+
+    Each feature column holds number cells up to a drawn row, a cell that
+    does not parse as a finite number there, and any cells after it; a row
+    may lose or gain a cell or have one emptied, and the text may start with
+    a byte-order mark.
+    """
+    p = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 9))
+    columns = []
+    for _ in range(p):
+        flip = draw(st.integers(0, n))
+        cells = [draw(NUMBER_CELLS if i < flip else FLIP_CELLS | NUMBER_CELLS) for i in range(n)]
+        if flip < n:
+            cells[flip] = draw(FLIP_CELLS)
+        columns.append(cells)
+    label = draw(st.integers(0, p))
+    header = ["c%d" % j for j in range(p)]
+    header.insert(label, "y")
+    rows = [[col[i] for col in columns] for i in range(n)]
+    for row in rows:
+        row.insert(label, draw(st.sampled_from("xyz")))
+    if n and draw(st.booleans()):
+        row = rows[draw(st.integers(0, n - 1))]
+        fault = draw(st.sampled_from(["short", "long", "empty"]))
+        if fault == "short":
+            row.pop()
+        elif fault == "long":
+            row.append("1")
+        else:
+            row[draw(st.integers(0, len(row) - 1))] = ""
+    text = io.StringIO()
+    csv.writer(text).writerows([header] + rows)
+    kinds = st.sampled_from([None, ColumnKind.CATEGORICAL, ColumnKind.CONTINUOUS])
+    declared = {name: kind for name in header if name != "y" and (kind := draw(kinds)) is not None}
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + text.getvalue(), declared
+
+
+def loaded(load, path, declared):
+    """The table load gives, or the type and message of what it raises."""
+    try:
+        return load(path, "y", declared)
+    except (DataError, UsageError) as exc:
+        return type(exc), str(exc)
+
+
+class TestBlockReader:
+    @settings(max_examples=300, deadline=None)
+    @given(block_edge_files(), st.integers(1, 3))
+    # a flip in the third block: the cells of the first two are read again as typed
+    @example(("a,y\n0.1230,x\n1e1,x\n0.123,x\n-0,x\nfoo,x\n10,x\n", {}), 2)
+    def test_agrees_with_the_whole_file_reader(self, tmp_path_factory, file, block_rows):
+        text, declared = file
+        path = tmp_path_factory.mktemp("blocks") / "d.csv"
+        path.write_text(text, encoding="utf-8")
+        want = loaded(reference_load_csv, str(path), declared)
+        with mock.patch.object(data, "BLOCK_ROWS", block_rows):
+            got = loaded(load_csv, str(path), declared)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert isinstance(got, Dataset)
+        assert got.schema == want.schema
+        for a, b in zip(got.columns + (got.labels,), want.columns + (want.labels,)):
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+    def test_memory_stays_near_the_table(self, tmp_path):
+        # 20,000 x 10 categorical cells: a reader that holds every cell as a
+        # str peaks at about 74 bytes a cell
+        n, p = 20_000, 10
+        rng = np.random.default_rng(0)
+        path = tmp_path / "tall.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["c%d" % j for j in range(p)] + ["y"])
+            writer.writerows([["v%d" % v for v in row] + ["ab"[row[0] % 2]]
+                              for row in rng.integers(0, 6, size=(n, p)).tolist()])
+        cells = n * (p + 1)
+        # int32 ids per cell until they are joined into one byte each, and one
+        # block's text held at a time, at most 256 bytes a cell with its row
+        # list and transposed tuple
+        bound = 5 * cells + 256 * data.BLOCK_ROWS * (p + 1) + (1 << 18)
+        tracemalloc.start()
+        try:
+            ds = load_csv(str(path), "y")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (ds.n, ds.p) == (n, p)
+        assert peak < bound, (peak, bound)
 
 
 class TestDatasetInvariants:
