@@ -16,9 +16,11 @@ UTF-8, a leading byte-order mark dropped). Rows with missing cells are
 rejected at load time rather than imputed; column kinds are inferred (a
 column is continuous iff every cell parses as a finite number) unless the
 caller declares them. Input is read, and output written, in blocks of
-BLOCK_ROWS rows, so no more than one block's cells are held as text. A
-column that turns categorical after its first block is read again from the
-file, since a parsed float does not give back the text it was read from.
+BLOCK_ROWS rows, so no more than one block's cells are held as text. The
+columns that turn categorical after the first block are read again from the
+file in one more pass, since a parsed float does not give back the text it
+was read from; input that is not a regular file, such as a pipe, has the
+text of its still-numeric columns held instead.
 """
 
 from __future__ import annotations
@@ -297,18 +299,12 @@ def _blocks(reader, width: int):
         yield block
 
 
-def _encode_again(path: str, width: int, nblocks: int, columns: dict) -> None:
-    """Encode the first nblocks blocks of rows of the file at path again, for the given columns.
-
-    columns maps a column's position to its (ids, code blocks), which the
-    blocks' ids are put into as load_csv puts them.
-    """
+def _cells_again(path: str, width: int):
+    """The cells of the file at path, read again past its header, as one tuple per column a block at a time."""
     with open_csv(path) as reader:
         next(reader)
-        for block in itertools.islice(_blocks(reader, width), nblocks):
-            cells = list(zip(*block))
-            for pos, (ids, codes) in columns.items():
-                codes.append(_encode(cells[pos], ids))
+        for block in _blocks(reader, width):
+            yield list(zip(*block))
 
 
 def load_csv(
@@ -328,8 +324,10 @@ def load_csv(
     row is read: a declared kind for a column the header lacks, for the
     label, or that is not a ColumnKind raises UsageError. A column is held
     as float64 blocks while all its cells parse as finite numbers, and as
-    category ids once one does not; a column that turns categorical after
-    its first block has its earlier cells read again from path.
+    category ids once one does not. The columns that turn categorical after
+    the first block are encoded after the last, in one more pass over path;
+    when path is not a regular file, such as a pipe, which cannot be read
+    twice, the text of every column that may still turn is held instead.
 
     Raises DataError on malformed input: a missing label column, no rows, a
     ragged row, an empty cell, a non-number in a column declared continuous
@@ -358,10 +356,12 @@ def load_csv(
         ids = {pos: {} for pos in range(len(header)) if pos not in reals}
         codes = {pos: [] for pos in ids}
         bad = {}  # position -> first cell of a column declared continuous that is not a number
+        late = []  # positions of the columns that turned categorical after the first block
+        # a pipe cannot be read twice, so its cells that may yet be needed as text are held
+        held = None if os.path.isfile(path) else []
         nblocks = 0
         for block in _blocks(reader, len(header)):
             cells = list(zip(*block))
-            flipped = {}
             for pos in list(reals):
                 values = _parse_reals(cells[pos])
                 if values is not None:
@@ -370,12 +370,14 @@ def load_csv(
                 del reals[pos]
                 if declared.get(header[pos]) is ColumnKind.CONTINUOUS:
                     bad[pos] = next(c for c in cells[pos] if _parse_reals((c,)) is None)
+                elif nblocks:
+                    late.append(pos)
                 else:
-                    ids[pos], codes[pos] = flipped[pos] = {}, []
-            if flipped and nblocks:
-                _encode_again(path, len(header), nblocks, flipped)
+                    ids[pos], codes[pos] = {}, []
             for pos, seen in ids.items():
                 codes[pos].append(_encode(cells[pos], seen))
+            if held is not None:
+                held.append({pos: cells[pos] for pos in (*reals, *late)})
             nblocks += 1
 
     if not nblocks:
@@ -383,6 +385,13 @@ def load_csv(
     if bad:
         pos = min(bad)
         raise DataError("column %r declared continuous but cell %r is not a number" % (header[pos], bad[pos]))
+    if late:
+        # encoded from the first row in one more pass, since a float does not give back its text
+        for pos in late:
+            ids[pos], codes[pos] = {}, []
+        for cells in held if held is not None else _cells_again(path, len(header)):
+            for pos in late:
+                codes[pos].append(_encode(cells[pos], ids[pos]))
 
     def joined(pos: int) -> np.ndarray:
         # one copy, straight into the dtype Dataset narrows the ids to

@@ -2,8 +2,10 @@
 
 import csv
 import io
+import os
 import pickle
 import re
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -304,6 +306,40 @@ class TestBlockReader:
         for a, b in zip(got.columns + (got.labels,), want.columns + (want.labels,)):
             assert a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()
+
+    # with 2-row blocks, a turns categorical in the third block after non-canonical
+    # numbers, b in the second, c in the first and d never
+    LATE = "a,b,c,d,y\n0.1230,1,p,1,x\n1e1,2,q,2,z\n0.123,?,r,3,x\n-0,2,p,4,x\nfoo,1.0,s,5,z\n10,3,q,6,x\n"
+
+    def assert_same_table(self, got, want):
+        assert got.schema == want.schema
+        for a, b in zip(got.columns + (got.labels,), want.columns + (want.labels,)):
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+    def test_columns_turning_late_cost_one_more_pass(self, tmp_path, monkeypatch):
+        path = write(tmp_path, self.LATE)
+        monkeypatch.setattr(data, "BLOCK_ROWS", 2)
+        opened = []
+        real = data.open_csv
+        monkeypatch.setattr(data, "open_csv", lambda path: opened.append(path) or real(path))
+        ds = load_csv(path, "y")
+        assert opened == [path, path]
+        self.assert_same_table(ds, reference_load_csv(path, "y"))
+
+    def test_a_pipe_is_read_once(self, tmp_path, monkeypatch):
+        # a pipe cannot be read again, so the text of its numeric columns is held;
+        # a second open would wait for a writer, so the load runs in a thread
+        fifo = tmp_path / "d.csv"
+        os.mkfifo(fifo)
+        monkeypatch.setattr(data, "BLOCK_ROWS", 2)
+        got = []
+        loader = threading.Thread(target=lambda: got.append(loaded(load_csv, str(fifo), {})), daemon=True)
+        loader.start()
+        fifo.write_text(self.LATE)
+        loader.join(timeout=30)
+        assert not loader.is_alive(), "the pipe was opened again"
+        self.assert_same_table(got[0], reference_load_csv(write(tmp_path, self.LATE, "plain.csv"), "y"))
 
     def test_memory_stays_near_the_table(self, tmp_path):
         # 20,000 x 10 categorical cells: a reader that holds every cell as a
