@@ -23,8 +23,6 @@ import sys
 from contextlib import nullcontext
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import __version__
 from .data import Column, ColumnKind, Dataset, Schema, load_csv, open_csv, open_output, open_text, write_csv
 from .discretize import apply_dataset, fit_dataset, maps_to_json
@@ -255,7 +253,7 @@ def cmd_transform(args) -> int:
         digits = tuple(map(str, range(top + 1)))
         features = tuple(Column(name, ColumnKind.CATEGORICAL, digits) for name in names)
         schema = Schema(features, ds.schema.label_name, ds.schema.classes)
-        write_csv(Dataset(schema, tuple(matrix.astype(np.min_scalar_type(top)).T), ds.labels), f)
+        write_csv(Dataset(schema, tuple(matrix.T), ds.labels), f)
         inputs = {path: _sha256(path) for path in (args.input, args.rules)}
     write_manifest(
         args.out,

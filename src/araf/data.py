@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import itertools
 import os
 from contextlib import contextmanager
@@ -415,19 +416,36 @@ def write_csv(ds: Dataset, fh) -> None:
     """Write the dataset as CSV to fh, BLOCK_ROWS rows at a time; loading the result preserves values.
 
     A categorical cell is written as its category, a continuous one as the
-    repr of its float. fh is a text file opened with newline="", as
-    open_output opens one.
+    repr of its float. The bytes are those of csv.writer's writerows, but
+    each name, category and class is quoted by csv.writer once, and each
+    row is joined from those texts. fh is a text file opened with
+    newline="", as open_output opens one.
     """
-    texts = [np.array(spec.categories, dtype=object) if spec.kind is ColumnKind.CATEGORICAL else None
-             for spec in ds.schema.features] + [np.array(ds.schema.classes, dtype=object)]
-    writer = csv.writer(fh)
-    writer.writerow([c.name for c in ds.schema.features] + [ds.schema.label_name])
+    quoted = io.StringIO()
+    writer = csv.writer(quoted)
+    # csv.writer quotes a field alike in any row but for a lone empty field,
+    # so a text is quoted as the first of two fields unless rows hold one
+    pad = ("",) * bool(ds.p)
+
+    def field(text: str) -> str:
+        quoted.seek(0)
+        quoted.truncate()
+        writer.writerow((text,) + pad)
+        return quoted.getvalue()[: -2 - len(pad)]
+
+    def fields(texts) -> np.ndarray:
+        return np.array([field(text) for text in texts], dtype=object)
+
+    texts = [fields(spec.categories) if spec.kind is ColumnKind.CATEGORICAL else None
+             for spec in ds.schema.features] + [fields(ds.schema.classes)]
+    fh.write(",".join(map(field, [c.name for c in ds.schema.features] + [ds.schema.label_name])) + "\r\n")
     for start in range(0, ds.n, BLOCK_ROWS):
         blocks = [col[start:start + BLOCK_ROWS] for col in ds.columns + (ds.labels,)]
-        writer.writerows(zip(*(
+        rows = zip(*(
             map(repr, block.astype(np.float64).tolist()) if text is None else text[block].tolist()
             for text, block in zip(texts, blocks)
-        )))
+        ))
+        fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
 def binary_dataset(

@@ -43,14 +43,17 @@ def antecedent_name(ant: Antecedent, schema) -> str:
 
 
 def transform(ds: Dataset, antecedents, mode: FeatureMode) -> tuple[np.ndarray, list[str]]:
-    """Assemble the float64 design matrix for antecedents given in rule order.
+    """Assemble the design matrix for antecedents given in rule order.
 
     A repeated antecedent keeps its first position, so rules of different
     classes sharing an antecedent give one column. Label mode appends each
     antecedent's indicator to the category ids. One-hot mode starts from the
     indicator of every single item in schema order ("column=category") and
     appends only the two-item antecedents, whose single items it already
-    holds. Returns (matrix, column names). The dataset must be fully
+    holds. Returns (matrix, column names). Every cell is a category id or a
+    0/1 indicator, so the matrix takes the narrowest unsigned dtype that
+    holds the base columns' ids and 1: one byte a cell in one-hot mode and up
+    to 256 categories a column. The dataset must be fully
     categorical; an antecedent naming a column or category the schema lacks
     raises DataError.
     """
@@ -70,7 +73,8 @@ def transform(ds: Dataset, antecedents, mode: FeatureMode) -> tuple[np.ndarray, 
         ]
         extra = items + [ant for ant in extra if len(ant) == 2]
 
-    matrix = np.empty((ds.n, len(base) + len(extra)))
+    dtype = np.result_type(np.uint8, *(col.dtype for col in base))
+    matrix = np.empty((ds.n, len(base) + len(extra)), dtype=dtype)
     for j, col in enumerate(base):
         matrix[:, j] = col
     for j, ant in enumerate(extra, len(base)):

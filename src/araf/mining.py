@@ -14,14 +14,16 @@ given schema, identical for the exhaustive reference miner, and unique
 within a run.
 
 Counting and selection run on arrays. An itemset is a row (class, a, b)
-of item indices (see RankSpace); a singleton on item i is the row
-(c, i, i). Each row travels with its per-class antecedent counts, and its
-support is the entry for its own class. Singletons are counted with one
-bincount per block of rows. All candidate pairs are counted together, the
-vertical way of Eclat's tid-lists (Zaki 2000) and MAFIA's bitmaps (Burdick
-et al. 2001), from bit sets that mining builds and keeps in the table's
-item_bits dict: each item's rows in one class order of the rows, each class
-a run of whole 64-bit words, built the first time a count names the item.
+of item indices (see RankSpace); a table's RankSpace is built once and held
+in its item_bits dict, beside its bit sets. A singleton on item i is the
+row (c, i, i). Each row travels with its per-class antecedent counts, and
+its support is the entry for its own class. Singletons are counted with one
+bincount per block of rows. A pool is picked with one sort on one int64 key
+per row. All candidate pairs are counted together, the vertical way of
+Eclat's tid-lists (Zaki 2000) and MAFIA's bitmaps (Burdick et al. 2001),
+from bit sets that mining builds and keeps in the table's item_bits dict:
+each item's rows in one class order of the rows, each class a run of whole
+64-bit words, built the first time a count names the item.
 A pair's count in class c is the popcount of the AND of its two items' bit
 sets over class c's run. The kept bits cost one bit per row for each item
 counted so far, plus 8 bytes per row for the class order (about 3.9 MB on a
@@ -161,13 +163,19 @@ class RankSpace:
 def top_per_group(support, groups, capacity: int) -> np.ndarray:
     """Indices of each group's `capacity` strongest rows.
 
-    Rows must come in rank order. Strength is support descending, then rank
-    ascending, which the stable lexsort takes from the row order. Indices
-    come grouped by ascending group id, strongest first within each group.
+    Rows must come in rank order, with non-negative integer supports and
+    group ids, such as row counts and class ids. Strength is support
+    descending, then rank ascending, which is the row order. Rows are
+    sorted once, on one int64 key: group id, then support descending, then
+    row position, which makes every key distinct, so any sort gives the one
+    order. Indices come grouped by ascending group id, strongest first
+    within each group.
     """
     if capacity < 1:
         raise UsageError("capacity must be >= 1")
-    order = np.lexsort((-support, groups))
+    top = int(support.max(initial=0)) + 1
+    key = groups.astype(np.int64) * top + (top - 1 - support)
+    order = np.argsort(key * len(key) + np.arange(len(key)))
     sorted_groups = groups[order]
     place = np.arange(len(order)) - np.searchsorted(sorted_groups, sorted_groups)
     return order[place < capacity]
@@ -179,6 +187,19 @@ def require_features(schema: Schema) -> None:
         raise DataError("mining needs at least one feature column")
 
 
+def rank_space(ds: Dataset) -> RankSpace:
+    """The RankSpace of ds's schema, built on the first call and held in ds.item_bits.
+
+    It is built under the lock that guards the table's bit sets, so threads
+    sharing ds build it once.
+    """
+    held = ds.item_bits
+    with held.setdefault("lock", threading.Lock()):
+        if "space" not in held:
+            held["space"] = RankSpace(ds.schema)
+        return held["space"]
+
+
 def count_singletons(ds: Dataset) -> np.ndarray:
     """Every singleton's count, one bincount of (item, class) cells per block of rows.
 
@@ -187,7 +208,7 @@ def count_singletons(ds: Dataset) -> np.ndarray:
     observed are zero. Its ravel() is indexed by singleton rank.
     """
     ds.schema.require_categorical("mining")
-    space = RankSpace(ds.schema)
+    space = rank_space(ds)
     num_classes = ds.num_classes
     counts = np.zeros(space.total_items * num_classes, dtype=np.int64)
     base = space.offsets[:-1, None] * num_classes
@@ -210,17 +231,16 @@ def generate_pair_candidates(frequent, space: RankSpace) -> np.ndarray:
     # without an index or inverse asked for, np.unique loads numpy.ma on first use
     ranks, _ = np.unique(np.asarray(frequent, dtype=np.int64).ravel(), return_inverse=True)
     classes, items = ranks % space.num_classes, ranks // space.num_classes
-    # in (class, item) order, the partners of a singleton follow it in its class's run
-    order = np.argsort(classes, kind="stable")
-    classes, items = classes[order], items[order]
-    partners = np.searchsorted(classes, classes, side="right") - np.arange(len(classes)) - 1
-    first = np.repeat(np.arange(len(classes)), partners)
-    second = np.arange(len(first)) - np.repeat(np.cumsum(partners) - partners, partners) + first + 1
-    out = np.column_stack([classes[first], items[first], items[second]])
-    out = out[space.features[out[:, 1]] != space.features[out[:, 2]]]
-    # pair rank order is (first item, class, second item); rows are in
-    # (class, first, second) order, so a stable sort on the first two suffices
-    return out[np.argsort(out[:, 1] * space.num_classes + out[:, 0], kind="stable")]
+    # the singletons in (class, item) order: a singleton's partners are the
+    # run of its class's items from the first item of the next feature on
+    keys = np.sort(classes * space.total_items + items)
+    start = np.searchsorted(keys, classes * space.total_items + space.offsets[space.features[items] + 1])
+    partners = np.searchsorted(keys, (classes + 1) * space.total_items) - start
+    first = np.repeat(np.arange(len(ranks)), partners)
+    second = keys[np.arange(len(first)) - np.repeat(np.cumsum(partners) - partners - start, partners)]
+    # ranks come in (first item, class) order and partners in item order,
+    # which is pair rank order
+    return np.column_stack([classes[first], items[first], second % space.total_items])
 
 
 def _item_words(ds: Dataset, items) -> tuple[np.ndarray, np.ndarray]:
@@ -286,10 +306,12 @@ def count_pairs(ds: Dataset, pairs) -> np.ndarray:
     out = np.zeros((len(pairs), ds.num_classes), dtype=np.int64)
     if not len(pairs) or not ds.n:
         return out
-    space = RankSpace(ds.schema)
-    used, local = np.unique(pairs.ravel(), return_inverse=True)
-    bits, starts = _item_words(ds, [space.items[i] for i in used.tolist()])
-    first, second = local.reshape(pairs.shape).T
+    space = rank_space(ds)
+    # the items named, in index order, and each one's place among them
+    named = np.zeros(space.total_items, dtype=bool)
+    named[pairs] = True
+    bits, starts = _item_words(ds, [space.items[i] for i in np.flatnonzero(named).tolist()])
+    first, second = (np.cumsum(named) - 1)[pairs].T
     step = max(1, CHUNK_WORDS // bits.shape[1])
     for k in range(0, len(pairs), step):
         both = np.bitwise_count(bits[first[k : k + step]] & bits[second[k : k + step]])
@@ -375,7 +397,7 @@ def _mine(ds: Dataset, count_ds: Dataset, pick, per_class: bool) -> MiningResult
     """
     require_features(ds.schema)
     singletons = count_singletons(count_ds)
-    space = RankSpace(ds.schema)
+    space = rank_space(ds)
     support = singletons.ravel()
     # a singleton left out of its pool stays out once pairs join the race
     frequent = np.sort(pick(support, np.arange(len(support)) % space.num_classes))

@@ -1,4 +1,6 @@
-"""Cell-by-cell reference helpers for comparing and encoding datasets in tests."""
+"""Cell-by-cell reference helpers for comparing, encoding and writing datasets in tests."""
+
+import csv
 
 import numpy as np
 
@@ -19,6 +21,15 @@ def decode_cell(ds, row: int, j: int) -> str:
     if spec.kind is ColumnKind.CATEGORICAL:
         return spec.categories[int(ds.columns[j][row])]
     return repr(float(ds.columns[j][row]))
+
+
+def reference_write_csv(ds, fh):
+    """One plain csv.writer over the header and every row through decode_cell: the reference for write_csv's bytes."""
+    writer = csv.writer(fh)
+    writer.writerow([c.name for c in ds.schema.features] + [ds.schema.label_name])
+    for i in range(ds.n):
+        row = [decode_cell(ds, i, j) for j in range(ds.p)]
+        writer.writerow(row + [ds.schema.classes[ds.labels[i]]])
 
 
 def values_equal(a, b) -> bool:

@@ -768,21 +768,24 @@ class TestAtomicOutputs:
         out.write_bytes(b"earlier\n")
         before = sorted(os.listdir(tmp_path))
         calls = []
-        real = csv.writer
+        real = cli.write_csv
 
         class FullDiskOnSecondBlock:
+            # write_csv writes its header in one write, then each block of rows in one writelines
             def __init__(self, fh):
-                self.writer = real(fh)
-                self.writerow = self.writer.writerow
+                self.fh = fh
 
-            def writerows(self, rows):
+            def write(self, text):
+                return self.fh.write(text)
+
+            def writelines(self, lines):
                 calls.append(1)
                 if len(calls) == 2:
                     raise OSError(errno.ENOSPC, "No space left on device")
-                self.writer.writerows(rows)
+                return self.fh.writelines(lines)
 
         monkeypatch.setattr(data, "BLOCK_ROWS", 16)
-        monkeypatch.setattr(csv, "writer", FullDiskOnSecondBlock)
+        monkeypatch.setattr(cli, "write_csv", lambda ds, fh: real(ds, FullDiskOnSecondBlock(fh)))
         argv = {
             "discretize": ["discretize", "--input", mixed_csv, "--label", "y", "--k", "3",
                            "--out-data", str(out)],

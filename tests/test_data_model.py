@@ -30,7 +30,7 @@ from araf.errors import DataError, UsageError
 from araf.features import FeatureMode, transform
 from araf.mining import MiningConfig, Scoring, count_pairs, count_singletons, mine_frequent, mine_with_thresholds
 from araf.sampling import subsample
-from reference import decode_cell, encode_by_setdefault, reference_load_csv, values_equal
+from reference import decode_cell, encode_by_setdefault, reference_load_csv, reference_write_csv, values_equal
 
 
 def write(tmp_path, text, name="d.csv"):
@@ -172,16 +172,6 @@ class TestRoundTrip:
         assert ds2.schema.feature_names() == ds.schema.feature_names()
 
 
-def reference_write_csv(ds, path):
-    """Row-by-row writer through decode_cell, the reference for write_csv's bytes."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([c.name for c in ds.schema.features] + [ds.schema.label_name])
-        for i in range(ds.n):
-            row = [decode_cell(ds, i, j) for j in range(ds.p)]
-            writer.writerow(row + [ds.schema.classes[ds.labels[i]]])
-
-
 CELL_TEXT = st.text(alphabet='ab ,"\n.-1e5_\u00e9', min_size=1, max_size=6)
 CELL_REAL = st.floats(allow_nan=False, allow_infinity=False).map(repr)
 
@@ -209,7 +199,8 @@ class TestRoundTripProperty:
         ds = load_csv(str(src), "y")
         with mock.patch.object(data, "BLOCK_ROWS", block_rows):
             write_csv_file(ds, str(tmp / "a.csv"))
-            reference_write_csv(ds, str(tmp / "ref.csv"))
+            with open(tmp / "ref.csv", "w", newline="", encoding="utf-8") as fh:
+                reference_write_csv(ds, fh)
             again = load_csv(str(tmp / "a.csv"), "y")
             write_csv_file(again, str(tmp / "b.csv"))
         first = (tmp / "a.csv").read_bytes()
@@ -217,6 +208,58 @@ class TestRoundTripProperty:
         assert first == (tmp / "b.csv").read_bytes()
         assert values_equal(again, ds)
         assert again.schema == ds.schema
+
+
+FIELD_TEXT = st.text(alphabet=[",", '"', "\r", "\n", " ", "a", "\u00e9", "\u4e2d"], max_size=4)
+"""Texts csv.writer quotes (a comma, a quote, CR, LF), pads with spaces, leaves empty or not ASCII."""
+
+
+@st.composite
+def written_tables(draw):
+    """A Dataset made from its parts, so its names, categories and classes may be any FIELD_TEXT.
+
+    0-3 feature columns, each categorical or continuous (any float, nan and
+    inf included), and 0-9 rows."""
+    p = draw(st.integers(0, 3))
+    n = draw(st.integers(0, 9))
+    names = draw(st.lists(FIELD_TEXT, min_size=p + 1, max_size=p + 1, unique=True))
+    classes = draw(st.lists(FIELD_TEXT, min_size=1, max_size=3, unique=True))
+    specs, columns = [], []
+    for name in names[:p]:
+        if draw(st.booleans()):
+            categories = draw(st.lists(FIELD_TEXT, min_size=1, max_size=4, unique=True))
+            specs.append(Column(name, ColumnKind.CATEGORICAL, tuple(categories)))
+            ids = st.integers(0, len(categories) - 1)
+            columns.append(np.array(draw(st.lists(ids, min_size=n, max_size=n)), dtype=np.int64))
+        else:
+            specs.append(Column(name, ColumnKind.CONTINUOUS))
+            columns.append(np.array(draw(st.lists(st.floats(), min_size=n, max_size=n)), dtype=np.float64))
+    labels = draw(st.lists(st.integers(0, len(classes) - 1), min_size=n, max_size=n))
+    schema = Schema(tuple(specs), names[p], tuple(classes))
+    return Dataset(schema, tuple(columns), np.array(labels, dtype=np.int64))
+
+
+def text_table(columns, label, classes, labels):
+    """A categorical Dataset from (name, categories, ids) columns."""
+    specs = tuple(Column(name, ColumnKind.CATEGORICAL, tuple(categories)) for name, categories, _ in columns)
+    ids = tuple(np.array(col, dtype=np.int64) for _, _, col in columns)
+    return Dataset(Schema(specs, label, tuple(classes)), ids, np.array(labels, dtype=np.int64))
+
+
+class TestWriteCsv:
+    @settings(max_examples=300, deadline=None)
+    @given(written_tables(), st.integers(1, 3))
+    # a label-only table: csv.writer quotes a lone empty field, and a lone empty name
+    @example(text_table([], "", ["", "a"], [0, 1, 0]), 2)
+    # an empty field in a wider row is left bare
+    @example(text_table([("", ["", " a "], [0, 1, 0])], "y", ["", '"'], [0, 0, 1]), 1)
+    def test_bytes_equal_a_csv_writer_over_every_row(self, ds, block_rows):
+        got = io.StringIO(newline="")
+        with mock.patch.object(data, "BLOCK_ROWS", block_rows):
+            write_csv(ds, got)
+        want = io.StringIO(newline="")
+        reference_write_csv(ds, want)
+        assert got.getvalue() == want.getvalue()
 
 
 class TestEncode:

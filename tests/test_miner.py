@@ -144,6 +144,28 @@ class TestRankSpace:
         assert max(singles) < min(pairs)
 
 
+def lexsort_top(support, groups, capacity):
+    """top_per_group as a two-key lexsort of the rows: group, then support descending, then row order."""
+    order = np.lexsort((-support, groups))
+    sorted_groups = groups[order]
+    place = np.arange(len(order)) - np.searchsorted(sorted_groups, sorted_groups)
+    return order[place < capacity]
+
+
+@st.composite
+def pools(draw):
+    """Supports and group ids of a pool in rank order.
+
+    Few distinct supports, so ties are common; group ids from a drawn subset
+    of 0-5, so some groups are empty."""
+    n = draw(st.integers(0, 60))
+    top = draw(st.sampled_from([0, 1, 4, 1000]))
+    ids = draw(st.lists(st.integers(0, 5), min_size=1, max_size=6, unique=True))
+    support = draw(st.lists(st.integers(0, 4) | st.integers(0, top), min_size=n, max_size=n))
+    groups = draw(st.lists(st.sampled_from(ids), min_size=n, max_size=n))
+    return np.array(support, dtype=np.int64), np.array(groups, dtype=np.int64)
+
+
 def select(supports, ranks, capacity, pairs=()):
     """(support, r1, r2) of the top itemsets among singletons of the given
     ranks plus pairs given as (support, r1, r2), all in one group."""
@@ -183,6 +205,13 @@ class TestTopK:
         groups = np.array([1, 0, 0, 0, 1, 1])
         keep = top_per_group(support, groups, 2)
         assert keep.tolist() == [1, 2, 5, 4]
+
+    @settings(max_examples=400, deadline=None)
+    @given(pools(), st.integers(1, 8))
+    @example((np.array([3, 3, 0, 3]), np.array([2, 0, 2, 0])), 1)
+    def test_equals_a_two_key_lexsort(self, pool, capacity):
+        support, groups = pool
+        assert top_per_group(support, groups, capacity).tolist() == lexsort_top(support, groups, capacity).tolist()
 
 
 def row_mask_counts(ds, pairs):
@@ -245,8 +274,9 @@ def count_pairs_cold_and_warm(ds, pairs):
 
 
 class SetOnce(dict):
-    """A dict that refuses to set a key twice: a table's class order or an
-    item's bit set built a second time fails the test that holds it."""
+    """A dict that refuses to set a key twice: a table's class order, its
+    RankSpace or an item's bit set built a second time fails the test that
+    holds it."""
 
     def __setitem__(self, key, value):
         if key in self:
@@ -391,6 +421,20 @@ class TestCounting:
         assert all(ds.item_bits[key] is held[key] for key in held)
         assert held_items(ds) == items_of(ds, pairs)
 
+    def test_repeated_mining_calls_hold_one_rank_space(self):
+        ds, _ = block_crossing_case()
+        object.__setattr__(ds, "item_bits", SetOnce())
+        config = MiningConfig(6, 3, per_class=True)
+        results = []
+        for _ in range(2):
+            count_singletons(ds)
+            count_pairs(ds, [(0, 3)])
+            results.append(mine_frequent(ds, config))
+            results.append(mine_with_thresholds(ds, 0.2))
+        spaces = [value for value in ds.item_bits.values() if isinstance(value, RankSpace)]
+        assert len(spaces) == 1
+        assert all(result.space is spaces[0] for result in results)
+
     def test_threads_sharing_a_table_count_alike(self):
         table, pairs = block_crossing_case()
         shares = [[pairs[k::7] for k in range(j, 21, 4)] for j in range(4)]
@@ -415,7 +459,33 @@ class TestCounting:
             sys.setswitchinterval(interval)
 
 
+def loop_pair_candidates(frequent, space):
+    """generate_pair_candidates as a double loop over the distinct singleton ranks, sorted by pair rank."""
+    c = space.num_classes
+    ranks = sorted(set(frequent))
+    rows = [(r1 % c, r1 // c, r2 // c) for r1 in ranks for r2 in ranks
+            if r1 % c == r2 % c and r1 // c < r2 // c and space.features[r1 // c] != space.features[r2 // c]]
+    return sorted(rows, key=lambda row: space.pair_base * (1 + row[1] * c + row[0]) + row[2] * c + row[0])
+
+
+@st.composite
+def singleton_sets(draw):
+    """A RankSpace of 1-5 features with 1-4 categories and 1-3 classes, and singleton ranks drawn from it, repeats included."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    specs = tuple(Column("x%d" % f, ColumnKind.CATEGORICAL, tuple(map(str, range(k)))) for f, k in enumerate(sizes))
+    space = RankSpace(Schema(specs, "y", tuple(map(str, range(draw(st.integers(1, 3)))))))
+    return draw(st.lists(st.integers(0, space.pair_base - 1), max_size=40)), space
+
+
 class TestPairCandidates:
+    @settings(max_examples=300, deadline=None)
+    @given(singleton_sets())
+    def test_equals_a_double_loop(self, case):
+        frequent, space = case
+        got = generate_pair_candidates(frequent, space)
+        assert got.dtype == np.int64 and got.shape[1:] == (3,)
+        assert [tuple(row) for row in got.tolist()] == loop_pair_candidates(frequent, space)
+
     def rank(self, ds, item, class_id):
         space = RankSpace(ds.schema)
         return (int(space.offsets[item[0]]) + item[1]) * space.num_classes + class_id

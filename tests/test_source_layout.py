@@ -152,3 +152,14 @@ def test_tables_are_written_only_by_write_csv():
                 if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "writer":
                     sites.add("%s:%s" % (module, getattr(top, "name", node.lineno)))
     assert sites == {"data.py:write_csv", "cli.py:cmd_bench"}
+
+
+def test_a_rank_space_is_made_only_in_rank_space():
+    # a table's item indices and ranks are built once and held beside its bit sets
+    sites = set()
+    for module, tree in parsed_modules().items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "RankSpace":
+                    sites.add("%s:%s" % (module, getattr(top, "name", node.lineno)))
+    assert sites == {"mining.py:rank_space"}
