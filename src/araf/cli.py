@@ -4,7 +4,8 @@ Four subcommands: discretize (entropy binning of continuous columns), mine
 (rule mining to JSON lines), transform (rules to a binary feature matrix),
 and bench (synthetic benchmark runs). Every run that writes an output file
 also writes <output>.manifest.json recording the resolved parameters, seed,
-and sha256 of each input, so results can be tied back to what produced them.
+and sha256 of each input (null for a stream, which the run reads once), so
+results can be tied back to what produced them.
 Each file is moved into place only once it is complete (data.open_output),
 and a command opens all its output files before it reads its input, so an
 output that cannot be written ends the run before any work, with nothing written.
@@ -16,16 +17,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
-import os
 import sys
 from contextlib import nullcontext
 from datetime import datetime, timezone
 
 from . import __version__
-from .data import Column, ColumnKind, Dataset, Schema, load_csv, open_csv, open_output, open_text, write_csv
-from .discretize import apply_dataset, fit_dataset, maps_to_json
+from .data import Column, ColumnKind, Dataset, Schema, is_stream, load_csv, open_output, open_text, write_csv
+from .discretize import DEFAULT_L, apply_dataset, fit_dataset, maps_to_json
 from .errors import ArafError, DataError, UsageError, check_mining_values
 from .features import FeatureMode, suggest_params, transform
 from .mining import (
@@ -43,7 +44,10 @@ from .rules import (
     select_rules_reluctant,
 )
 
-def _sha256(path: str) -> str:
+def _sha256(path: str) -> "str | None":
+    """The hex sha256 of the file at path, or None for a stream, whose bytes the run has already read."""
+    if is_stream(path):
+        return None
     h = hashlib.sha256()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 16), b""):
@@ -55,10 +59,11 @@ def write_manifest(out_path: str, command: str, params: dict, inputs: dict[str, 
     """Record what produced out_path; returns the manifest path, or None if none is written.
 
     inputs maps each input path to its sha256, taken before any output of the
-    run was moved into place, since an output may replace one of its inputs.
-    A pipe, /dev/stdout or other out_path that is not a regular file gets no manifest.
+    run was moved into place, since an output may replace one of its inputs,
+    or to None for a stream, which the run has read once.
+    A stream out_path, such as a pipe or /dev/stdout, gets no manifest.
     """
-    if os.path.exists(out_path) and not os.path.isfile(out_path):
+    if is_stream(out_path):
         return None
     manifest = {
         "tool": "araf",
@@ -76,11 +81,9 @@ def write_manifest(out_path: str, command: str, params: dict, inputs: dict[str, 
     return path
 
 
-def _parse_declares(pairs: "list[str] | None") -> "dict[str, ColumnKind] | None":
-    if not pairs:
-        return None
+def _parse_declares(pairs: "list[str] | None") -> "dict[str, ColumnKind]":
     out: dict[str, ColumnKind] = {}
-    for pair in pairs:
+    for pair in pairs or ():
         name, sep, kind = pair.rpartition("=")
         if not sep or not name:
             raise UsageError("--declare expects NAME=categorical|continuous, got %r" % pair)
@@ -95,15 +98,11 @@ def _load(args) -> tuple[Dataset, list]:
     """The input table, its continuous columns binned when --k is given, and the bin maps."""
     declared = _parse_declares(args.declare)
     if args.assume_categorical:
-        for name, kind in (declared or {}).items():
+        for name, kind in declared.items():
             # the label keeps its own message, from load_csv
             if kind is ColumnKind.CONTINUOUS and name != args.label:
                 raise UsageError("--declare %s=continuous contradicts --assume-categorical" % name)
-        with open_csv(args.input) as reader:
-            header = next(reader, [])
-        declared = dict(declared or {})
-        declared.update((name, ColumnKind.CATEGORICAL) for name in header if name != args.label)
-    ds = load_csv(args.input, args.label, declared_kinds=declared)
+    ds = load_csv(args.input, args.label, declared, assume_categorical=args.assume_categorical)
     if args.k is None:
         return ds, []
     maps = fit_dataset(ds, k=args.k, l=args.l)
@@ -114,7 +113,7 @@ def _check_k(args) -> None:
     """Refuse a --k or --l the discretizer cannot fit, before any file is opened.
 
     --l without --k would bin nothing, so it is refused too. With --k, a
-    missing --l resolves to 10 here, so that the manifest records it.
+    missing --l resolves to discretize.DEFAULT_L here, so that the manifest records it.
     """
     if args.k is not None and args.k < 2:
         raise UsageError("--k must be >= 2")
@@ -123,7 +122,7 @@ def _check_k(args) -> None:
     if args.l is not None and args.k is None:
         raise UsageError("--l applies only with --k")
     if args.k is not None and args.l is None:
-        args.l = 10
+        args.l = DEFAULT_L
 
 
 def _file_params(args) -> dict:
@@ -193,10 +192,9 @@ def cmd_mine(args) -> int:
         if threshold_mode:
             result = mine_with_thresholds(ds, args.minsupp)
             rules = generate_rules_threshold(result, args.minconf)
-            params: dict = {"minsupp": args.minsupp, "minconf": args.minconf}
+            params: dict = {"minsupp": args.minsupp, "minconf": args.minconf, "seed": args.seed}
         else:
             scoring_name = "rconf" if args.reluctant else args.scoring or "conf"
-            per_class = args.per_class or args.reluctant
             d_freq, d_conf = args.d_freq, args.d_conf
             if d_freq is None or d_conf is None:
                 sf, sc = suggest_params(ds.p, ds.num_classes)
@@ -205,7 +203,7 @@ def cmd_mine(args) -> int:
             config = MiningConfig(
                 d_freq=d_freq,
                 d_conf=d_conf,
-                per_class=per_class,
+                per_class=args.per_class or args.reluctant,
                 scoring=Scoring(scoring_name),
                 reluctant=args.reluctant,
                 subsample=args.subsample,
@@ -213,20 +211,12 @@ def cmd_mine(args) -> int:
             )
             result = mine_frequent(ds, config)
             rules = (select_rules_reluctant if config.reluctant else select_rules)(result, config)
-            params = {
-                "d_freq": d_freq,
-                "d_conf": d_conf,
-                "scoring": scoring_name,
-                "per_class": per_class,
-                "reluctant": args.reluctant,
-                "subsample": args.subsample,
-            }
+            params = {**dataclasses.asdict(config), "scoring": scoring_name}
         f.write(rules_to_jsonl(rules, ds.schema))
         inputs = {args.input: _sha256(args.input)}
     params.update(
         {
             **_file_params(args),
-            "seed": args.seed,
             "n": ds.n,
             "p": ds.p,
             "rules_written": len(rules),
@@ -346,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("discretize", help="entropy-based binning of continuous columns")
     add_common_io(d)
     d.add_argument("--k", type=int, required=True, help="number of intervals per column")
-    d.add_argument("--l", type=int, help="candidate cut points per round (default 10)")
+    d.add_argument("--l", type=int, help="candidate cut points per round (default %d)" % DEFAULT_L)
     d.add_argument("--out-data", required=True, help="output CSV with binned columns")
     d.add_argument("--out-map", help="optional JSON file for the fitted thresholds")
     d.set_defaults(func=cmd_discretize)
@@ -371,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--subsample", type=int, help="mine on a bootstrap subsample of this size")
     m.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     m.add_argument("--k", type=int, help="discretize continuous columns into this many intervals first")
-    m.add_argument("--l", type=int, help="candidate cut points, with --k only (default 10)")
+    m.add_argument("--l", type=int, help="candidate cut points, with --k only (default %d)" % DEFAULT_L)
     m.add_argument("--out-rules", required=True, help="output rules file (JSON lines)")
     m.set_defaults(func=cmd_mine)
 
@@ -385,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="label: encoded originals + all rule indicators; onehot: one-hot originals + pair indicators",
     )
     t.add_argument("--k", type=int, help="discretize continuous columns first (must match mining)")
-    t.add_argument("--l", type=int, help="candidate cut points, with --k only (default 10)")
+    t.add_argument("--l", type=int, help="candidate cut points, with --k only (default %d)" % DEFAULT_L)
     t.add_argument("--out", required=True, help="output CSV feature matrix")
     t.set_defaults(func=cmd_transform)
 

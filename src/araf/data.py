@@ -19,8 +19,8 @@ caller declares them. Input is read, and output written, in blocks of
 BLOCK_ROWS rows, so no more than one block's cells are held as text. The
 columns that turn categorical after the first block are read again from the
 file in one more pass, since a parsed float does not give back the text it
-was read from; input that is not a regular file, such as a pipe, has the
-text of its still-numeric columns held instead.
+was read from; input that is a stream, such as a pipe, has the text of its
+still-numeric columns held instead.
 """
 
 from __future__ import annotations
@@ -233,6 +233,11 @@ def open_text(path: str):
         raise DataError("file %r is not valid UTF-8: %s" % (path, exc)) from None
 
 
+def is_stream(path: str) -> bool:
+    """Whether path exists and is not a regular file, such as a pipe: a stream, which reads only once."""
+    return os.path.exists(path) and not os.path.isfile(path)
+
+
 @contextmanager
 def open_output(path: str):
     """A UTF-8 text file for writing that replaces path only when the block completes.
@@ -241,10 +246,9 @@ def open_output(path: str):
     moves it onto path when the block ends. If the block raises, the
     temporary file is removed and whatever was at path is left unchanged.
     A missing directory raises DataError naming path before anything is written.
-    Newlines are written as given. A path that names something other than
-    a regular file, such as a pipe or /dev/stdout, is written directly.
+    Newlines are written as given; a stream, such as a pipe or /dev/stdout, is written directly.
     """
-    if os.path.exists(path) and not os.path.isfile(path):
+    if is_stream(path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
             yield fh
         return
@@ -312,6 +316,7 @@ def load_csv(
     path: str,
     label_column: str,
     declared_kinds: "dict[str, ColumnKind] | None" = None,
+    assume_categorical: bool = False,
 ) -> Dataset:
     """Load a CSV file with a header row into a Dataset, reading BLOCK_ROWS rows at a time.
 
@@ -319,7 +324,8 @@ def load_csv(
     feature, its categories numbered by first appearance. Bins made by
     discretize.apply_dataset are numbered the same way, so a binned table
     equals the one loaded from its CSV. declared_kinds maps column names to
-    the ColumnKind that overrides inference for them.
+    the ColumnKind that overrides inference for them; assume_categorical
+    makes every feature column that declared_kinds does not name categorical.
 
     The header, the label column and declared_kinds are checked before any
     row is read: a declared kind for a column the header lacks, for the
@@ -327,8 +333,8 @@ def load_csv(
     as float64 blocks while all its cells parse as finite numbers, and as
     category ids once one does not. The columns that turn categorical after
     the first block are encoded after the last, in one more pass over path;
-    when path is not a regular file, such as a pipe, which cannot be read
-    twice, the text of every column that may still turn is held instead.
+    when path is a stream, such as a pipe, which cannot be read twice, the
+    text of every column that may still turn is held instead.
 
     Raises DataError on malformed input: a missing label column, no rows, a
     ragged row, an empty cell, a non-number in a column declared continuous
@@ -350,6 +356,8 @@ def load_csv(
                 raise UsageError("declared kind for label column %r, which is always categorical" % name)
             if not isinstance(kind, ColumnKind):
                 raise UsageError("unknown column kind %r" % (kind,))
+        if assume_categorical:
+            declared = {name: ColumnKind.CATEGORICAL for name in header if name != label_column} | declared
 
         label_pos = header.index(label_column)
         reals = {pos: [] for pos, name in enumerate(header)
@@ -358,8 +366,8 @@ def load_csv(
         codes = {pos: [] for pos in ids}
         bad = {}  # position -> first cell of a column declared continuous that is not a number
         late = []  # positions of the columns that turned categorical after the first block
-        # a pipe cannot be read twice, so its cells that may yet be needed as text are held
-        held = None if os.path.isfile(path) else []
+        # a stream cannot be read twice, so its cells that may yet be needed as text are held
+        held = [] if is_stream(path) else None
         nblocks = 0
         for block in _blocks(reader, len(header)):
             cells = list(zip(*block))

@@ -22,6 +22,8 @@ import numpy as np
 from .data import Column, ColumnKind, Dataset, Schema
 from .errors import DataError, UsageError
 
+DEFAULT_L = 10  # candidate cut points per interval and round when the caller names no l
+
 
 @dataclass(frozen=True)
 class DiscretizationMap:
@@ -116,7 +118,7 @@ def _candidate_cuts(sorted_vals: np.ndarray, l: int) -> set[float]:
     return set(((v[keep] + sorted_vals[right[keep]]) / 2.0).tolist())
 
 
-def fit_discretizer(values, labels, k: int, l: int = 10, column: str = "") -> DiscretizationMap:
+def fit_discretizer(values, labels, k: int, l: int = DEFAULT_L, column: str = "") -> DiscretizationMap:
     """Choose up to k-1 thresholds for one continuous column.
 
     Each of the k-1 greedy rounds evaluates the interior quantile midpoints
@@ -203,7 +205,7 @@ def apply_discretizer(dmap: DiscretizationMap, values) -> np.ndarray:
     return np.searchsorted(np.asarray(dmap.thresholds), values, side="left").astype(np.int64)
 
 
-def fit_dataset(ds: Dataset, k: int, l: int = 10) -> list[DiscretizationMap]:
+def fit_dataset(ds: Dataset, k: int, l: int = DEFAULT_L) -> list[DiscretizationMap]:
     """Fit a map for every continuous column of the dataset."""
     maps = []
     for j, spec in enumerate(ds.schema.features):

@@ -178,6 +178,10 @@ class TestDiscretize:
             return real_load(*args, **kwargs)
 
         monkeypatch.setattr(araf.cli, "load_csv", counting_load)
+        # every open of the input goes through data.open_text; the header is read by load_csv's
+        opens = []
+        real_open = data.open_text
+        monkeypatch.setattr(data, "open_text", lambda path: opens.append(path) or real_open(path))
         outs = {}
         for name, flags in (
             ("assumed", ["--assume-categorical"]),
@@ -186,10 +190,12 @@ class TestDiscretize:
         ):
             outs[name] = tmp_path / (name + ".jsonl")
             calls.clear()
+            opens.clear()
             rc = main(["mine", "--input", mixed_csv, "--label", "y", *flags,
                        "--out-rules", str(outs[name])])
             assert rc == 0
             assert len(calls) == 1
+            assert opens == [mixed_csv]
         assert outs["assumed"].read_bytes() == outs["declared"].read_bytes()
 
 
@@ -883,6 +889,66 @@ class TestAtomicOutputs:
         assert set(os.listdir(tmp_path)) == before | written
 
 
+class TestStreamInputs:
+    # the input is /dev/fd/N of a pipe that a thread feeds, as /dev/stdin is when a
+    # pipe feeds it; the test holds the read end open, so a second open of the path
+    # reads on from where the first stopped. Every input stays below a pipe's 64 KiB
+    # buffer, so the writer never waits on a reader.
+
+    def run_on_pipe(self, text: bytes, argv_for):
+        """main's exit code on argv_for(path), for a path that reads text from a pipe, and the path."""
+        read_end, write_end = os.pipe()
+
+        def feed():
+            with os.fdopen(write_end, "wb") as w:
+                w.write(text)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        path = "/dev/fd/%d" % read_end
+        try:
+            rc = main(argv_for(path))
+        finally:
+            writer.join(timeout=60)
+            os.close(read_end)
+        assert not writer.is_alive()
+        return rc, path
+
+    def test_assume_categorical_reads_a_pipe_once(self, tmp_path):
+        # a numeric column a, so that only --assume-categorical makes it minable
+        rng = np.random.default_rng(0)
+        a = rng.integers(0, 5, size=3000)
+        rows = ["%d,%s,%s" % (v, "uq"[v % 2], "pn"[int(v > 1)]) for v in a]
+        path = tmp_path / "t.csv"
+        path.write_text("a,b,y\n" + "\n".join(rows) + "\n")
+
+        def argv(source, out):
+            return ["mine", "--input", source, "--label", "y", "--assume-categorical", "--out-rules", str(out)]
+
+        assert main(argv(str(path), tmp_path / "file.jsonl")) == 0
+        rc, _ = self.run_on_pipe(path.read_bytes(), lambda source: argv(source, tmp_path / "pipe.jsonl"))
+        assert rc == 0
+        assert (tmp_path / "pipe.jsonl").read_bytes() == (tmp_path / "file.jsonl").read_bytes()
+
+    def test_a_piped_input_is_recorded_with_no_digest(self, categorical_csv, tmp_path):
+        # its bytes were read once, by the run; a regular file is hashed as it stands
+        rules, piped_rules = tmp_path / "rules.jsonl", tmp_path / "piped.jsonl"
+        assert main(["mine", "--input", categorical_csv, "--label", "y", "--out-rules", str(rules)]) == 0
+        rc, source = self.run_on_pipe(Path(categorical_csv).read_bytes(), lambda source: [
+            "mine", "--input", source, "--label", "y", "--out-rules", str(piped_rules)])
+        assert rc == 0 and piped_rules.read_bytes() == rules.read_bytes()
+        digest = hashlib.sha256(Path(categorical_csv).read_bytes()).hexdigest()
+        assert read_manifest(str(rules))["inputs"] == {categorical_csv: digest}
+        assert read_manifest(str(piped_rules))["inputs"] == {source: None}
+
+        out = tmp_path / "features.csv"
+        rc, source = self.run_on_pipe(rules.read_bytes(), lambda source: [
+            "transform", "--input", categorical_csv, "--label", "y", "--rules", source,
+            "--mode", "label", "--out", str(out)])
+        assert rc == 0
+        assert read_manifest(str(out))["inputs"] == {categorical_csv: digest, source: None}
+
+
 class TestErrors:
     def test_missing_input_file(self, tmp_path):
         rc = main(
@@ -1025,7 +1091,7 @@ class TestErrors:
         assert capsys.readouterr().err == "data error: info gain needs at least one row\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags", [[], ["--assume-categorical"]], ids=["load", "header-read"])
+    @pytest.mark.parametrize("flags", [[], ["--assume-categorical"]], ids=["load", "assume-categorical"])
     def test_non_utf8_csv_is_a_data_error(self, flags, tmp_path, capsys):
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"a,y\ncaf\xe9,x\nb,z\n")
@@ -1035,9 +1101,9 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "not valid UTF-8" in err and str(path) in err
 
-    @pytest.mark.parametrize("flags", [[], ["--assume-categorical"]], ids=["load", "header-read"])
+    @pytest.mark.parametrize("flags", [[], ["--assume-categorical"]], ids=["load", "assume-categorical"])
     def test_over_long_cell_is_a_data_error(self, flags, tmp_path, capsys):
-        # a header cell for the header read of --assume-categorical, a data cell for load_csv
+        # a header cell with --assume-categorical, a data cell without: load_csv refuses both
         path = tmp_path / "long.csv"
         long_cell = "x" * 140_000
         text = "a,y\n%s,p\nb,n\n" % long_cell if not flags else "%s,y\na,p\n" % long_cell

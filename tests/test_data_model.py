@@ -68,6 +68,12 @@ class TestLoadCsv:
         assert ds.schema.features[0].kind is ColumnKind.CATEGORICAL
         assert ds.schema.features[0].categories == ("1", "2")
 
+    def test_declared_kind_overrides_assume_categorical(self, tmp_path):
+        ds = load_csv(write(tmp_path, "a,b,y\n1,2.5,x\n2,3.5,z\n"), "y", {"b": ColumnKind.CONTINUOUS},
+                      assume_categorical=True)
+        assert [col.kind for col in ds.schema.features] == [ColumnKind.CATEGORICAL, ColumnKind.CONTINUOUS]
+        assert ds.schema.features[0].categories == ("1", "2")
+
     def test_declared_continuous_on_text_fails(self, tmp_path):
         with pytest.raises(DataError, match="^column 'a' declared continuous but cell 'foo' is not a number$"):
             load_csv(write(tmp_path, "a,y\nfoo,x\n"), "y", {"a": ColumnKind.CONTINUOUS})

@@ -163,3 +163,23 @@ def test_a_rank_space_is_made_only_in_rank_space():
                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "RankSpace":
                     sites.add("%s:%s" % (module, getattr(top, "name", node.lineno)))
     assert sites == {"mining.py:rank_space"}
+
+
+def test_only_data_reads_csv_or_tells_a_stream_from_a_file():
+    # one reader opens, decodes and refuses input, and one predicate,
+    # data.is_stream, says whether a path can be read a second time
+    sites = set()
+    for module, tree in parsed_modules().items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                    if callee == "open_csv":
+                        sites.add("%s:%s:open_csv" % (module, getattr(top, "name", node.lineno)))
+                names = {getattr(node, "attr", None), getattr(node, "id", None)}
+                if isinstance(node, ast.ImportFrom):
+                    names |= {alias.name for alias in node.names}
+                if "isfile" in names:
+                    sites.add("%s:%s:isfile" % (module, getattr(top, "name", node.lineno)))
+    assert sorted(site for site in sites if not site.startswith("data.py:")) == []
+    assert {site.rsplit(":", 1)[1] for site in sites} == {"open_csv", "isfile"}
